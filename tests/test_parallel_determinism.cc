@@ -22,6 +22,13 @@
  * The chaos harness (run_all.sh --chaos) re-runs this binary with
  * SOCFLOW_CHAOS_SEED varying; run_all.sh --tsan runs it under
  * -DSANITIZE=thread. Every test must hold for any seed.
+ *
+ * Thread sweeps alone cannot catch a change that shifts behaviour the
+ * same way at every thread count. The clean run, every fault kind and
+ * the default-seed harvest day are therefore also pinned: the serial
+ * run must reproduce a timeline hash and a weights digest recorded
+ * before the trainer was decomposed into phases. A pin changes only
+ * with a deliberate, documented behaviour change.
  */
 
 #include <gtest/gtest.h>
@@ -38,6 +45,7 @@
 #include "ps/sharded_ps.hh"
 #include "trace/harvest.hh"
 #include "trace/tidal.hh"
+#include "util/hash.hh"
 #include "util/thread_pool.hh"
 
 using namespace socflow;
@@ -82,6 +90,33 @@ chaosSeed()
 {
     const char *env = std::getenv("SOCFLOW_CHAOS_SEED");
     return env ? std::strtoull(env, nullptr, 10) : 2024ULL;
+}
+
+/** FNV-1a digest over the bit patterns of a weight vector. */
+std::uint64_t
+weightsDigest(const std::vector<float> &w)
+{
+    Fnv1a64 h;
+    h.mixBytes(w.data(), w.size() * sizeof(float));
+    return h.value();
+}
+
+/** A serial run's recorded fingerprint (see the file comment). */
+struct Pinned {
+    std::uint64_t timelineHash;
+    std::uint64_t weightsDigest;
+};
+
+void
+expectPinned(std::uint64_t timeline_hash, const std::vector<float> &w,
+             const Pinned &pin, const char *label)
+{
+    EXPECT_EQ(timeline_hash, pin.timelineHash)
+        << label << ": timeline hash 0x" << std::hex << timeline_hash
+        << " differs from the pinned 0x" << pin.timelineHash;
+    EXPECT_EQ(weightsDigest(w), pin.weightsDigest)
+        << label << ": weights digest 0x" << std::hex << weightsDigest(w)
+        << " differs from the pinned 0x" << pin.weightsDigest;
 }
 
 /** Everything a scenario must reproduce bit-exactly. */
@@ -167,11 +202,14 @@ runFleetTrainer(const sim::FleetTopology &topo, std::size_t groups,
  */
 template <typename Fn>
 void
-expectBitExactAcrossThreads(Fn &&scenario, const char *label)
+expectBitExactAcrossThreads(Fn &&scenario, const char *label,
+                            const Pinned *pin = nullptr)
 {
     setGlobalThreads(1);
     const RunResult ref = scenario();
     EXPECT_NE(ref.timelineHash, 0u) << label;
+    if (pin)
+        expectPinned(ref.timelineHash, ref.weights, *pin, label);
     for (std::size_t t : kThreadSweep) {
         setGlobalThreads(t);
         const RunResult got = scenario();
@@ -197,8 +235,9 @@ expectBitExactAcrossThreads(Fn &&scenario, const char *label)
 
 TEST(ParallelDeterminism, CleanRunBitExact)
 {
+    const Pinned pin{0x82d26538afcd3181ULL, 0x7658a47cd15fa2c6ULL};
     expectBitExactAcrossThreads([] { return runTrainer(nullptr, 4); },
-                                "clean");
+                                "clean", &pin);
 }
 
 TEST(ParallelDeterminism, SingleGroupDegeneratesCleanly)
@@ -261,6 +300,43 @@ planForKind(FaultKind kind)
     return plan;
 }
 
+/** Pinned serial fingerprint of runTrainer(planForKind(kind), 5). */
+Pinned
+pinnedForKind(FaultKind kind)
+{
+    switch (kind) {
+    case FaultKind::SocCrash:
+        return {0x86beff9aa5d41aa5ULL, 0x5be164aa5f8faf50ULL};
+    case FaultKind::LinkDegrade:
+        return {0x37d7270a60d8656bULL, 0x3f9157726f8c6430ULL};
+    case FaultKind::Straggler:
+        return {0x5ad1074d37ae2f36ULL, 0x3f9157726f8c6430ULL};
+    case FaultKind::CheckpointFail:
+        return {0x1c3a8bd06dff6c93ULL, 0x3f9157726f8c6430ULL};
+    case FaultKind::SocCrashMidWave:
+        return {0x902c1d437820f20cULL, 0x3f9157726f8c6430ULL};
+    case FaultKind::GradCorrupt:
+        return {0xb4927222147720c6ULL, 0x3f9157726f8c6430ULL};
+    case FaultKind::LeaderCrash:
+        return {0xf0bc3441c786b80dULL, 0x3f9157726f8c6430ULL};
+    case FaultKind::BoardPartition:
+        return {0x6adf7946a26bec1aULL, 0x7658a47cd15fa2c6ULL};
+    case FaultKind::SwitchPartition:
+        return {0xc25f14b602437395ULL, 0x7658a47cd15fa2c6ULL};
+    case FaultKind::SocRejoin:
+        return {0x0c12d3cdd9b76b5dULL, 0x3f9157726f8c6430ULL};
+    case FaultKind::PsServerCrash:
+        return {0x5b55bc7090cc9fbbULL, 0x5be164aa5f8faf50ULL};
+    case FaultKind::RackPowerLoss:
+        return {0x3ea2529a6317e0feULL, 0xcf2594b51ee9721cULL};
+    case FaultKind::CkptReplicaLoss:
+        return {0x16137286f386df58ULL, 0x3f9157726f8c6430ULL};
+    default:
+        ADD_FAILURE() << "no pin for " << faultKindName(kind);
+        return {0, 0};
+    }
+}
+
 } // namespace
 
 class ParallelDeterminismFaultKinds
@@ -271,9 +347,10 @@ class ParallelDeterminismFaultKinds
 TEST_P(ParallelDeterminismFaultKinds, FaultedRunBitExact)
 {
     const FaultPlan plan = planForKind(GetParam());
+    const Pinned pin = pinnedForKind(GetParam());
     expectBitExactAcrossThreads(
         [&plan] { return runTrainer(&plan, 5); },
-        faultKindName(GetParam()));
+        faultKindName(GetParam()), &pin);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -567,7 +644,8 @@ TEST(ParallelDeterminism, HarvestReportBitExact)
     fcfg.rejoins = 1;
     fcfg.seed = chaosSeed();
 
-    auto runDay = [&fcfg] {
+    std::vector<float> weights;
+    auto runDay = [&fcfg, &weights] {
         data::DataBundle bundle = tinyBundle();
         core::SoCFlowConfig cfg = tinyConfig();
         core::SoCFlowTrainer trainer(cfg, bundle);
@@ -579,12 +657,21 @@ TEST(ParallelDeterminism, HarvestReportBitExact)
         trace::HarvestConfig hcfg;
         hcfg.socsPerGroup = 2;
         hcfg.faults = &inj;
-        return trace::runHarvestDay(trainer, cfg, tidal, hcfg);
+        trace::HarvestReport report =
+            trace::runHarvestDay(trainer, cfg, tidal, hcfg);
+        weights = trainer.globalWeights();
+        return report;
     };
 
     setGlobalThreads(1);
     const trace::HarvestReport ref = runDay();
     EXPECT_NE(ref.timelineHash, 0u);
+    // Pinned at the default chaos seed only; the chaos harness varies
+    // the fault plan through SOCFLOW_CHAOS_SEED.
+    if (!std::getenv("SOCFLOW_CHAOS_SEED")) {
+        const Pinned pin{0xc1ff2114fb73efbfULL, 0x7cfc8e061e3082e9ULL};
+        expectPinned(ref.timelineHash, weights, pin, "harvest-day");
+    }
     for (std::size_t t : kThreadSweep) {
         setGlobalThreads(t);
         const trace::HarvestReport got = runDay();
