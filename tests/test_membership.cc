@@ -302,6 +302,41 @@ TEST(MembershipTrainer, NoQuorumPausesEverythingUntilHeal)
     EXPECT_NE(trainer.groupWeights(0), before);
 }
 
+TEST(MembershipTrainer, PausedEpochRecordKeepsEveryRecoveryCounter)
+{
+    // A mid-wave crash scheduled inside a no-quorum window cannot fire
+    // at its wave (nothing trains), so it fires as a leftover at the
+    // next paused epoch's open. That paused record must carry the
+    // whole recovery tally: the crash AND its wave resume.
+    data::DataBundle bundle = tinyBundle();
+    core::SoCFlowTrainer trainer(tinyConfig(10, 2), bundle);
+    FaultPlan plan;
+    FaultSpec cut;
+    cut.kind = FaultKind::BoardPartition;
+    cut.epoch = 1;
+    cut.board = 0;
+    cut.durationEpochs = 2;
+    plan.add(cut);
+    FaultSpec crash;
+    crash.kind = FaultKind::SocCrashMidWave;
+    crash.epoch = 1;
+    crash.step = 0;
+    crash.phase = FaultPhase::Wave1;
+    crash.soc = 6;
+    plan.add(crash);
+    FaultInjector inj(plan);
+    trainer.attachFaultInjector(&inj);
+
+    trainer.runEpoch();
+    ASSERT_TRUE(trainer.runEpoch().paused);  // epoch 1: cut fires
+    const core::EpochRecord rec = trainer.runEpoch();  // epoch 2
+    ASSERT_TRUE(rec.paused);
+    EXPECT_EQ(rec.crashes, 1u);
+    EXPECT_EQ(rec.waveResumes, 1u)
+        << "the paused record dropped the leftover wave resume";
+    EXPECT_GT(rec.recoverySeconds, 0.0);
+}
+
 // ------------------------- rejoin: live re-map keeps the theorems
 
 namespace {
