@@ -125,8 +125,9 @@ class HarvestDriver
 
         // Train one epoch in this slot.
         const core::EpochRecord rec = trainer.runEpoch();
+        absorb(rec);
         if (rec.powerLost) {
-            handlePowerLoss(rec, ev);
+            handlePowerLoss(ev);
             return;
         }
         if (rec.paused) {
@@ -134,11 +135,6 @@ class HarvestDriver
             // lost. Counted as paused, NOT as a trained epoch and NOT
             // as a failure -- training resumes when the cut heals.
             ++report.pausedEpochs;
-            report.crashRecoveries += rec.crashes;
-            report.partitions += rec.partitions;
-            report.rejoins += rec.rejoins;
-            report.fencedStaleMsgs += rec.fencedStaleMsgs;
-            report.recoverySeconds += rec.recoverySeconds;
             return;
         }
         ++report.epochsTrained;
@@ -151,21 +147,11 @@ class HarvestDriver
             // The trainer already recovered (survivor re-map +
             // consensus restore); record the abrupt loss distinctly
             // from graceful preemption in the timeline.
-            report.crashRecoveries += rec.crashes;
-            report.recoverySeconds += rec.recoverySeconds;
             HarvestEvent crash = ev;
             crash.kind = HarvestEvent::Kind::Crash;
             crash.activeGroups = trainer.activeGroups();
             pushEvent(crash);
         }
-        report.waveResumes += rec.waveResumes;
-        report.leaderElections += rec.leaderElections;
-        report.gradCorruptDetected += rec.gradCorruptDetected;
-        report.chunksRetransmitted += rec.chunksRetransmitted;
-        report.syncFailures += rec.syncFailures;
-        report.partitions += rec.partitions;
-        report.rejoins += rec.rejoins;
-        report.fencedStaleMsgs += rec.fencedStaleMsgs;
 
         // Interval checkpointing bounds the RPO: at most N epochs of
         // work sit between the fleet and its last durable replica.
@@ -179,16 +165,12 @@ class HarvestDriver
     }
 
     /**
-     * A RackPowerLoss killed the fleet this slot (or it is still
-     * dark from an earlier one). Account the aborted epoch's fault
-     * tallies, then attempt a whole-fleet restart from the nearest
-     * surviving replica. Without a replicated store -- or with every
-     * replica destroyed -- the fleet stays dark and the slot is
-     * counted as downtime; the restore is retried next slot (the
-     * operator keeps trying).
+     * Fold one epoch record's fault/recovery counters into the report.
+     * Every record counts the same way -- trained, paused or aborted by
+     * a power loss -- so no recovery is dropped on any exit.
      */
     void
-    handlePowerLoss(const core::EpochRecord &rec, HarvestEvent ev)
+    absorb(const core::EpochRecord &rec)
     {
         report.crashRecoveries += rec.crashes;
         report.recoverySeconds += rec.recoverySeconds;
@@ -200,7 +182,19 @@ class HarvestDriver
         report.partitions += rec.partitions;
         report.rejoins += rec.rejoins;
         report.fencedStaleMsgs += rec.fencedStaleMsgs;
+    }
 
+    /**
+     * A RackPowerLoss killed the fleet this slot (or it is still
+     * dark from an earlier one): attempt a whole-fleet restart from
+     * the nearest surviving replica. Without a replicated store -- or
+     * with every replica destroyed -- the fleet stays dark and the
+     * slot is counted as downtime; the restore is retried next slot
+     * (the operator keeps trying).
+     */
+    void
+    handlePowerLoss(HarvestEvent ev)
+    {
         if (!down) {
             down = true;
             ++report.powerLosses;

@@ -122,11 +122,15 @@ struct HarvestReport {
     double finalTestAcc = 0.0;
     double trainingHours = 0.0;  //!< simulated hours spent training
 
-    // Fault/recovery accounting (zero on fault-free days).
+    // Fault/recovery accounting (zero on fault-free days). The
+    // recovery counters below sum every epoch record of the day --
+    // trained, quorum-paused and power-loss-aborted alike -- so
+    // recoverySeconds covers every recovery path (crashes, corrupt
+    // chunks, partition detection, rejoin catch-up), not only crashes.
     std::size_t crashRecoveries = 0;   //!< SoC crashes survived
     std::size_t checkpointRetries = 0; //!< failed writes retried
     std::size_t checkpointsLost = 0;   //!< retry budget exhausted
-    double recoverySeconds = 0.0;      //!< crash-recovery sim time
+    double recoverySeconds = 0.0;      //!< fault-recovery sim time
 
     // Step-granular recovery paths (DESIGN.md "Failure model").
     std::size_t waveResumes = 0;         //!< mid-wave chunk resumes
