@@ -41,16 +41,13 @@ recordCollective(const char *op, const CommStats &stats,
         {
         }
     };
-    static OpMetrics ring("ring"), ps("param_server"), tree("tree"),
-        bcast("broadcast"), concurrent("concurrent_rings"),
-        hier("hierarchical"), shardedPs("sharded_ps");
+    static OpMetrics ring("ring"), tree("tree"), bcast("broadcast"),
+        concurrent("concurrent_rings"), hier("hierarchical"),
+        shardedPs("sharded_ps");
     OpMetrics *m = nullptr;
     switch (op[0]) {
       case 'r':
         m = &ring;
-        break;
-      case 'p':
-        m = &ps;
         break;
       case 's':
         m = &shardedPs;
@@ -103,6 +100,25 @@ chunkMetrics()
 }
 
 } // namespace
+
+std::vector<sim::SocId>
+CollectiveEngine::survivorsOf(
+    const std::vector<sim::SocId> &ring,
+    const std::vector<sim::SocId> *extra_dead) const
+{
+    std::vector<sim::SocId> live;
+    live.reserve(ring.size());
+    for (sim::SocId s : ring) {
+        const bool dead =
+            (faults && !faults->socAlive(s)) ||
+            (extra_dead && std::find(extra_dead->begin(),
+                                     extra_dead->end(),
+                                     s) != extra_dead->end());
+        if (!dead)
+            live.push_back(s);
+    }
+    return live;
+}
 
 const char *
 syncErrorName(SyncError e)
@@ -166,50 +182,14 @@ CommStats
 CollectiveEngine::ringAllReduce(const std::vector<sim::SocId> &ring,
                                 double bytes) const
 {
-    CommStats stats;
-    const std::size_t n = ring.size();
-    if (n <= 1 || bytes <= 0.0)
-        return stats;
-
-    const double chunk = bytes / static_cast<double>(n);
-    const std::size_t rounds = 2 * (n - 1);
-    const double roundTime =
-        clusterRef.network().makespan(ringRoundFlows(ring, chunk)) +
-        clusterRef.roundOverheadS(n);
-
-    stats.seconds = roundTime * static_cast<double>(rounds);
-    stats.wireBytes =
-        chunk * static_cast<double>(n) * static_cast<double>(rounds);
-    stats.rounds = rounds;
-    recordCollective("ring", stats, clusterRef.network().captureActive());
-    return stats;
+    return ringAllReduceFrom(ring, bytes, 0);
 }
 
 CommStats
 CollectiveEngine::paramServer(const std::vector<sim::SocId> &workers,
                               sim::SocId server, double bytes) const
 {
-    CommStats stats;
-    std::vector<sim::SocId> clients;
-    for (sim::SocId w : workers)
-        if (w != server)
-            clients.push_back(w);
-    if (clients.empty() || bytes <= 0.0)
-        return stats;
-
-    std::vector<sim::FlowSpec> push, pull;
-    for (sim::SocId c : clients) {
-        push.push_back(transfer(c, server, bytes));
-        pull.push_back(transfer(server, c, bytes));
-    }
-    const double overhead =
-        clusterRef.roundOverheadS(clients.size() + 1);
-    stats.seconds = clusterRef.network().makespan(push) + overhead +
-                    clusterRef.network().makespan(pull) + overhead;
-    stats.wireBytes = 2.0 * bytes * static_cast<double>(clients.size());
-    stats.rounds = 2;
-    recordCollective("param_server", stats, clusterRef.network().captureActive());
-    return stats;
+    return paramServerDetailed(workers, server, bytes).stats;
 }
 
 PsExchange
@@ -260,8 +240,9 @@ CollectiveEngine::shardedParamServer(
         return ex;
 
     // Push phase. Client-major, server-minor flow order: a single
-    // endpoint builds exactly the flow list paramServer() solves, so
-    // the monolithic timings agree bit-for-bit.
+    // endpoint solves the monolithic exchange's flow list, and a
+    // phase's span is the max of its flows' finish times -- exactly
+    // FlowNetwork::makespan.
     std::vector<sim::FlowSpec> push;
     std::vector<std::size_t> owner;
     for (sim::SocId c : clients) {
@@ -550,19 +531,8 @@ CollectiveEngine::resumeFromChunk(
     std::size_t acked_rounds,
     const std::vector<sim::SocId> *extra_dead) const
 {
-    const auto isDead = [&](sim::SocId s) {
-        if (faults && !faults->socAlive(s))
-            return true;
-        return extra_dead &&
-               std::find(extra_dead->begin(), extra_dead->end(), s) !=
-                   extra_dead->end();
-    };
-
     SyncOutcome out;
-    out.survivors.reserve(ring.size());
-    for (sim::SocId s : ring)
-        if (!isDead(s))
-            out.survivors.push_back(s);
+    out.survivors = survivorsOf(ring, extra_dead);
 
     const std::size_t n = ring.size();
     if (n <= 1 || bytes <= 0.0)
@@ -667,19 +637,8 @@ CollectiveEngine::ringAllReduceResilient(
     const std::vector<sim::SocId> &ring, double bytes,
     const std::vector<sim::SocId> *extra_dead) const
 {
-    const auto isDead = [&](sim::SocId s) {
-        if (faults && !faults->socAlive(s))
-            return true;
-        return extra_dead &&
-               std::find(extra_dead->begin(), extra_dead->end(), s) !=
-                   extra_dead->end();
-    };
-
     SyncOutcome out;
-    out.survivors.reserve(ring.size());
-    for (sim::SocId s : ring)
-        if (!isDead(s))
-            out.survivors.push_back(s);
+    out.survivors = survivorsOf(ring, extra_dead);
 
     if (out.survivors.size() == ring.size()) {
         out.stats = ringAllReduce(ring, bytes);

@@ -169,7 +169,7 @@ class CollectiveEngine
     /**
      * Ring all-reduce over the given SoCs (reduce-scatter +
      * all-gather, 2(N-1) rounds of size/N chunks). A single-member
-     * ring costs nothing.
+     * ring costs nothing. The full-ring case of ringAllReduceFrom.
      */
     CommStats ringAllReduce(const std::vector<sim::SocId> &ring,
                             double bytes) const;
@@ -178,8 +178,8 @@ class CollectiveEngine
      * Parameter-server exchange: every worker pushes `bytes` to the
      * server, then pulls `bytes` back (two incast/outcast rounds).
      * The server SoC is excluded from the workers automatically.
-     * Evaluated through shardedParamServer with a single endpoint, so
-     * the timing is identical to the historical two-round estimate.
+     * The stats of paramServerDetailed, i.e. shardedParamServer with
+     * a single endpoint (metrics record it as op=sharded_ps).
      */
     CommStats paramServer(const std::vector<sim::SocId> &workers,
                           sim::SocId server, double bytes) const;
@@ -328,6 +328,13 @@ class CollectiveEngine
         std::uint64_t current_gen) const;
 
   private:
+    /** Members of `ring` alive per the fault model and not listed in
+     *  `extra_dead`, in ring order (the resilient and resume paths'
+     *  shared survivor split). */
+    std::vector<sim::SocId> survivorsOf(
+        const std::vector<sim::SocId> &ring,
+        const std::vector<sim::SocId> *extra_dead) const;
+
     /** One synchronized ring round's flow set. */
     std::vector<sim::FlowSpec> ringRoundFlows(
         const std::vector<sim::SocId> &ring, double chunk_bytes) const;
