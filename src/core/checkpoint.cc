@@ -1,113 +1,16 @@
 #include "core/checkpoint.hh"
 
-#include <cstdio>
-#include <cstring>
-
-#include "obs/metrics.hh"
-#include "obs/trace.hh"
-#include "util/logging.hh"
+#include "util/hash.hh"
 
 namespace socflow {
 namespace core {
 
-namespace {
-
-constexpr std::uint64_t checkpointMagic = 0x534f43464c4f5731ULL;
-
-struct Header {
-    std::uint64_t magic;
-    std::uint64_t payloadBytes;
-    std::uint64_t checksum;
-};
-
-} // namespace
-
 std::uint64_t
 checkpointChecksum(const std::vector<std::uint8_t> &blob)
 {
-    // FNV-1a, 64-bit.
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::uint8_t b : blob) {
-        h ^= b;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-void
-writeCheckpointFile(const std::string &path,
-                    const std::vector<std::uint8_t> &blob)
-{
-    obs::ScopedSpan span(obs::tracer(), "writeCheckpointFile",
-                         "checkpoint");
-    obs::metrics()
-        .counter("checkpoint_file_writes_total")
-        .add(1.0);
-    obs::metrics()
-        .counter("checkpoint_file_bytes_written_total")
-        .add(static_cast<double>(blob.size()));
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        fatal("cannot open checkpoint for writing: ", path);
-    Header h{checkpointMagic, blob.size(), checkpointChecksum(blob)};
-    bool ok = std::fwrite(&h, sizeof(h), 1, f) == 1;
-    if (!blob.empty())
-        ok = ok && std::fwrite(blob.data(), 1, blob.size(), f) ==
-                       blob.size();
-    ok = std::fclose(f) == 0 && ok;
-    if (!ok)
-        fatal("failed to write checkpoint: ", path);
-}
-
-std::vector<std::uint8_t>
-readCheckpointFile(const std::string &path)
-{
-    obs::ScopedSpan span(obs::tracer(), "readCheckpointFile",
-                         "checkpoint");
-    obs::metrics().counter("checkpoint_file_reads_total").add(1.0);
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        fatal("cannot open checkpoint: ", path);
-    Header h{};
-    if (std::fread(&h, sizeof(h), 1, f) != 1) {
-        std::fclose(f);
-        fatal("checkpoint header truncated: ", path);
-    }
-    if (h.magic != checkpointMagic) {
-        std::fclose(f);
-        fatal("not a SoCFlow checkpoint: ", path);
-    }
-    std::vector<std::uint8_t> blob(h.payloadBytes);
-    if (!blob.empty() &&
-        std::fread(blob.data(), 1, blob.size(), f) != blob.size()) {
-        std::fclose(f);
-        fatal("checkpoint payload truncated: ", path);
-    }
-    std::fclose(f);
-    if (checkpointChecksum(blob) != h.checksum)
-        fatal("checkpoint checksum mismatch (corrupt file): ", path);
-    return blob;
-}
-
-bool
-isCheckpointFile(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    Header h{};
-    const bool headerOk = std::fread(&h, sizeof(h), 1, f) == 1 &&
-                          h.magic == checkpointMagic;
-    if (!headerOk) {
-        std::fclose(f);
-        return false;
-    }
-    std::vector<std::uint8_t> blob(h.payloadBytes);
-    const bool payloadOk =
-        blob.empty() ||
-        std::fread(blob.data(), 1, blob.size(), f) == blob.size();
-    std::fclose(f);
-    return payloadOk && checkpointChecksum(blob) == h.checksum;
+    Fnv1a64 h;
+    h.mixBytes(blob.data(), blob.size());
+    return h.value();
 }
 
 } // namespace core

@@ -1,12 +1,12 @@
 /**
  * @file
- * Checkpoint persistence.
+ * Checkpoint integrity shared by every checkpoint envelope.
  *
  * SoCFlowTrainer serializes its training state to a byte buffer
- * (weights + epoch + mixed-precision state); these helpers move such
- * buffers to and from disk with a magic/version header and a simple
- * integrity checksum, so a preempted job can resume in a later idle
- * window even across process restarts.
+ * (weights + epoch + mixed-precision state) sealed with
+ * checkpointChecksum; the replicated store (ckpt/replicated_store.hh)
+ * seals its data and manifest envelopes with the same checksum and is
+ * the only durable home of such buffers.
  */
 
 #ifndef SOCFLOW_CORE_CHECKPOINT_HH
@@ -22,11 +22,10 @@ namespace core {
 
 /**
  * A malformed or corrupted checkpoint blob handed to
- * SoCFlowTrainer::loadCheckpoint(). Thrown (not fatal) because a
- * scheduler holding many checkpoints wants to skip a bad one and
- * keep the trainer usable; validation completes before any trainer
- * state is mutated. The *file* helpers below still treat a bad file
- * as a user error (fatal), matching the CLI tools built on them.
+ * SoCFlowTrainer::loadCheckpoint() (or read back from the replicated
+ * store). Thrown (not fatal) because a scheduler holding many
+ * checkpoints wants to skip a bad one and keep the trainer usable;
+ * validation completes before any trainer state is mutated.
  */
 class CheckpointError : public std::runtime_error
 {
@@ -37,20 +36,7 @@ class CheckpointError : public std::runtime_error
     }
 };
 
-/** Write a checkpoint blob to `path` (fatal on I/O failure). */
-void writeCheckpointFile(const std::string &path,
-                         const std::vector<std::uint8_t> &blob);
-
-/**
- * Read a checkpoint blob from `path`. Missing files, short files,
- * bad magic and checksum mismatches are user errors (fatal).
- */
-std::vector<std::uint8_t> readCheckpointFile(const std::string &path);
-
-/** True when `path` holds a well-formed checkpoint. */
-bool isCheckpointFile(const std::string &path);
-
-/** FNV-1a checksum used by the file format (exposed for tests). */
+/** 64-bit FNV-1a over `blob` (util/hash.hh Fnv1a64). */
 std::uint64_t checkpointChecksum(const std::vector<std::uint8_t> &blob);
 
 } // namespace core

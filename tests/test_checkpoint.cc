@@ -1,15 +1,13 @@
 /**
  * @file
- * Checkpoint file-format tests: roundtrips, corruption detection,
- * and end-to-end resume of a SoCFlowTrainer across "process"
- * boundaries.
+ * Checkpoint tests: the shared checksum, trainer blob validation and
+ * corruption fuzzing, replicated-store envelope fuzzing, and resume of
+ * a SoCFlowTrainer from checkpoint bytes.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 
 #include "ckpt/replicated_store.hh"
 #include "core/checkpoint.hh"
@@ -21,12 +19,6 @@ using namespace socflow;
 using namespace socflow::core;
 
 namespace {
-
-std::string
-tempPath(const char *name)
-{
-    return std::string(::testing::TempDir()) + "/" + name;
-}
 
 data::DataBundle
 tinyBundle()
@@ -57,86 +49,14 @@ tinyConfig()
 
 } // namespace
 
-TEST(CheckpointFile, RoundTripPreservesBytes)
-{
-    const std::string path = tempPath("roundtrip.ckpt");
-    std::vector<std::uint8_t> blob = {1, 2, 3, 254, 255, 0, 42};
-    writeCheckpointFile(path, blob);
-    EXPECT_TRUE(isCheckpointFile(path));
-    EXPECT_EQ(readCheckpointFile(path), blob);
-    std::remove(path.c_str());
-}
-
-TEST(CheckpointFile, EmptyPayloadRoundTrips)
-{
-    const std::string path = tempPath("empty.ckpt");
-    writeCheckpointFile(path, {});
-    EXPECT_TRUE(isCheckpointFile(path));
-    EXPECT_TRUE(readCheckpointFile(path).empty());
-    std::remove(path.c_str());
-}
-
-TEST(CheckpointFile, ChecksumIsDeterministicAndSensitive)
+TEST(CheckpointChecksum, DeterministicAndSensitive)
 {
     std::vector<std::uint8_t> a = {1, 2, 3};
     std::vector<std::uint8_t> b = {1, 2, 4};
     EXPECT_EQ(checkpointChecksum(a), checkpointChecksum(a));
     EXPECT_NE(checkpointChecksum(a), checkpointChecksum(b));
-}
-
-TEST(CheckpointFile, MissingFileIsFatal)
-{
-    EXPECT_EXIT(readCheckpointFile("/nonexistent/nowhere.ckpt"),
-                ::testing::ExitedWithCode(1), "cannot open");
-    EXPECT_FALSE(isCheckpointFile("/nonexistent/nowhere.ckpt"));
-}
-
-TEST(CheckpointFile, BadMagicIsFatal)
-{
-    const std::string path = tempPath("junk.ckpt");
-    std::ofstream(path) << "this is not a checkpoint at all........";
-    EXPECT_FALSE(isCheckpointFile(path));
-    EXPECT_EXIT(readCheckpointFile(path), ::testing::ExitedWithCode(1),
-                "not a SoCFlow checkpoint");
-    std::remove(path.c_str());
-}
-
-TEST(CheckpointFile, CorruptPayloadDetected)
-{
-    const std::string path = tempPath("corrupt.ckpt");
-    writeCheckpointFile(path, {10, 20, 30, 40, 50});
-    // Flip one payload byte after the 24-byte header.
-    {
-        std::fstream f(path, std::ios::in | std::ios::out |
-                                 std::ios::binary);
-        f.seekp(26);
-        const char evil = 99;
-        f.write(&evil, 1);
-    }
-    EXPECT_FALSE(isCheckpointFile(path));
-    EXPECT_EXIT(readCheckpointFile(path), ::testing::ExitedWithCode(1),
-                "checksum mismatch");
-    std::remove(path.c_str());
-}
-
-TEST(CheckpointFile, TruncatedPayloadDetected)
-{
-    const std::string path = tempPath("short.ckpt");
-    writeCheckpointFile(path, std::vector<std::uint8_t>(100, 7));
-    // Truncate to header + half the payload.
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-        bytes.resize(24 + 50);
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-    }
-    EXPECT_FALSE(isCheckpointFile(path));
-    EXPECT_EXIT(readCheckpointFile(path), ::testing::ExitedWithCode(1),
-                "truncated");
-    std::remove(path.c_str());
+    // 64-bit FNV-1a: the empty input hashes to the offset basis.
+    EXPECT_EQ(checkpointChecksum({}), 0xcbf29ce484222325ULL);
 }
 
 // --------------------------------------------- trainer blob validation
@@ -347,13 +267,13 @@ TEST(ReplicatedDataFuzz, CorruptDataEnvelopeNeverRestoresSilently)
     }
 }
 
-TEST(CheckpointFile, TrainerResumesAcrossFile)
+TEST(TrainerCheckpointBlob, TrainerResumesFromBytes)
 {
-    const std::string path = tempPath("resume.ckpt");
     data::DataBundle bundle = tinyBundle();
 
     double accBefore = 0.0;
     std::size_t epochsBefore = 0;
+    std::vector<std::uint8_t> bytes;
     {
         SoCFlowTrainer first(tinyConfig(), bundle);
         first.runEpoch();
@@ -361,11 +281,11 @@ TEST(CheckpointFile, TrainerResumesAcrossFile)
         first.runEpoch();
         accBefore = first.testAccuracy();
         epochsBefore = first.epochsDone();
-        writeCheckpointFile(path, first.saveCheckpoint());
-    }  // "process" exits
+        bytes = first.saveCheckpoint();
+    }  // the first trainer is gone; only its bytes survive
 
     SoCFlowTrainer resumed(tinyConfig(), bundle);
-    resumed.loadCheckpoint(readCheckpointFile(path));
+    resumed.loadCheckpoint(bytes);
     EXPECT_EQ(resumed.epochsDone(), epochsBefore);
     EXPECT_NEAR(resumed.testAccuracy(), accBefore, 1e-9);
 
@@ -373,5 +293,4 @@ TEST(CheckpointFile, TrainerResumesAcrossFile)
     resumed.runEpoch();
     resumed.runEpoch();
     EXPECT_GE(resumed.testAccuracy(), accBefore - 0.05);
-    std::remove(path.c_str());
 }
