@@ -23,141 +23,42 @@ namespace bench {
 
 namespace {
 
-/** Output paths for the atexit writer (empty = not requested). */
-std::string &
-traceOutPath()
-{
-    static std::string p;
-    return p;
-}
+/**
+ * Every setting the shared flags control. One function-local static,
+ * constructed while the flags are parsed -- before the atexit writer
+ * is registered -- so it outlives that writer. Empty paths mean the
+ * output was not requested.
+ */
+struct BenchOptions {
+    std::string traceOut, metricsOut, postmortemOut, benchJson, baseline;
+    std::string profileOut, metricsExportCmd;
+    std::size_t traceRotateMb = 0; //!< MiB; 0 = buffer-all export
+    std::size_t metricsInterval = 0;
+    bool smoke = false;
+    std::uint64_t seed = 42;
+    std::size_t racks = 1;
+    double coreGbps = 100.0;
+    double oversub = 1.0;
+    std::size_t psShards = 8;
+    std::size_t staleness = 4;
+    /** The streaming sink, when rotation was requested (leaked; its
+     *  flusher is joined by the atexit close below). */
+    obs::StreamingTraceSink *streamSink = nullptr;
+    obs::MetricSeriesWriter *seriesWriter = nullptr;
+};
 
-std::string &
-metricsOutPath()
+BenchOptions &
+opts()
 {
-    static std::string p;
-    return p;
-}
-
-std::string &
-postmortemOutPath()
-{
-    static std::string p;
-    return p;
-}
-
-/** --trace-rotate-mb in MiB (0 = buffer-all export). */
-std::size_t &
-traceRotateMb()
-{
-    static std::size_t mb = 0;
-    return mb;
-}
-
-std::size_t &
-metricsIntervalEpochs()
-{
-    static std::size_t n = 0;
-    return n;
-}
-
-bool &
-smokeFlag()
-{
-    static bool smoke = false;
-    return smoke;
-}
-
-std::uint64_t &
-seedValue()
-{
-    static std::uint64_t seed = 42;
-    return seed;
-}
-
-std::size_t &
-racksValue()
-{
-    static std::size_t racks = 1;
-    return racks;
-}
-
-double &
-coreGbpsValue()
-{
-    static double gbps = 100.0;
-    return gbps;
-}
-
-double &
-oversubValue()
-{
-    static double factor = 1.0;
-    return factor;
-}
-
-std::string &
-benchJsonOutPath()
-{
-    static std::string p;
-    return p;
-}
-
-std::size_t &
-psShardsValue()
-{
-    static std::size_t shards = 8;
-    return shards;
-}
-
-std::size_t &
-stalenessValue()
-{
-    static std::size_t bound = 4;
-    return bound;
-}
-
-std::string &
-metricsExportCmdValue()
-{
-    static std::string cmd;
-    return cmd;
-}
-
-std::string &
-baselinePath()
-{
-    static std::string p;
-    return p;
-}
-
-std::string &
-profileOutPathValue()
-{
-    static std::string p;
-    return p;
-}
-
-/** The streaming sink, when rotation was requested (leaked; its
- *  flusher is joined by the atexit close below). */
-obs::StreamingTraceSink *&
-streamSink()
-{
-    static obs::StreamingTraceSink *sink = nullptr;
-    return sink;
-}
-
-obs::MetricSeriesWriter *&
-seriesWriter()
-{
-    static obs::MetricSeriesWriter *w = nullptr;
-    return w;
+    static BenchOptions o;
+    return o;
 }
 
 void
 writeObservabilityOutputs()
 {
-    const std::string &trace = traceOutPath();
-    if (obs::StreamingTraceSink *sink = streamSink()) {
+    const std::string &trace = opts().traceOut;
+    if (obs::StreamingTraceSink *sink = opts().streamSink) {
         // Streamed mode: the trace is already on disk; detach so late
         // events don't race the drain, then flush the final segment.
         obs::tracer().setStreamSink(nullptr);
@@ -175,8 +76,8 @@ writeObservabilityOutputs()
                          trace.c_str());
         }
     }
-    const std::string &metricsPath = metricsOutPath();
-    if (obs::MetricSeriesWriter *w = seriesWriter()) {
+    const std::string &metricsPath = opts().metricsOut;
+    if (obs::MetricSeriesWriter *w = opts().seriesWriter) {
         // Series mode: the NDJSON lines are the output; no text dump.
         std::fprintf(stderr, "metric series written to %s (%zu lines)\n",
                      metricsPath.c_str(), w->snapshotsWritten());
@@ -184,7 +85,7 @@ writeObservabilityOutputs()
         // user command (remote export hook). Best-effort: a failing
         // command is reported, never fatal, because the series file
         // on disk is already the durable output.
-        const std::string &cmd = metricsExportCmdValue();
+        const std::string &cmd = opts().metricsExportCmd;
         if (!cmd.empty()) {
             std::ifstream series(metricsPath);
             FILE *pipe = series ? popen(cmd.c_str(), "w") : nullptr;
@@ -225,7 +126,7 @@ writeObservabilityOutputs()
     if (prof.enabled() && prof.epochsProfiled() > 0) {
         const obs::PerfReport report = prof.report();
         std::fputs(report.doctorSummary().c_str(), stderr);
-        const std::string &profPath = profileOutPathValue();
+        const std::string &profPath = opts().profileOut;
         if (!profPath.empty()) {
             std::ofstream out(profPath);
             if (out && (out << report.toJson() << '\n')) {
@@ -240,15 +141,22 @@ writeObservabilityOutputs()
     }
 }
 
-/** Parse a non-negative integer flag value (fatal on junk). */
-std::size_t
-parseCount(const std::string &flag, const std::string &value)
+/** Parse a non-negative real flag value (fatal on junk). */
+double
+parseNonNegative(const std::string &flag, const std::string &value)
 {
     char *end = nullptr;
     const double parsed = std::strtod(value.c_str(), &end);
     if (value.empty() || end == nullptr || *end != '\0' || parsed < 0.0)
         fatal("bad value for ", flag, ": '", value, "'");
-    return static_cast<std::size_t>(parsed);
+    return parsed;
+}
+
+/** Parse a non-negative integer flag value (fatal on junk). */
+std::size_t
+parseCount(const std::string &flag, const std::string &value)
+{
+    return static_cast<std::size_t>(parseNonNegative(flag, value));
 }
 
 /** Parse a positive real flag value (fatal on junk). */
@@ -260,6 +168,47 @@ parseReal(const std::string &flag, const std::string &value)
     if (value.empty() || end == nullptr || *end != '\0' || parsed <= 0.0)
         fatal("bad value for ", flag, ": '", value, "'");
     return parsed;
+}
+
+/**
+ * Match argv[i] against `flag` in either the `--flag=value` or the
+ * `--flag value` form. On a match the value is stored and i is left
+ * on the last argument consumed; a trailing flag with no value is
+ * fatal.
+ */
+bool
+matchFlag(const char *flag, int argc, char **argv, int &i,
+          std::string &value)
+{
+    const std::string arg = argv[i];
+    const std::string prefix = std::string(flag) + "=";
+    if (arg.rfind(prefix, 0) == 0) {
+        value = arg.substr(prefix.size());
+        return true;
+    }
+    if (arg != flag)
+        return false;
+    if (i + 1 >= argc)
+        fatal(flag, " requires a value argument");
+    value = argv[++i];
+    return true;
+}
+
+/**
+ * Remove from argv, in place, every argument `take(i)` claims (it may
+ * advance i past a separate value); argv[0] and the order of the rest
+ * are kept, and argv stays null-terminated.
+ */
+template <typename Take>
+void
+compactArgs(int &argc, char **argv, Take &&take)
+{
+    int out = 1;
+    for (int i = 1; i < argc; ++i)
+        if (!take(i))
+            argv[out++] = argv[i];
+    argc = out;
+    argv[argc] = nullptr;
 }
 
 } // namespace
@@ -277,22 +226,17 @@ initBenchObservability(int &argc, char **argv)
     std::string oversubStr;
     std::string psShardsStr;
     std::string stalenessStr;
-    int out = 1;
     bool any = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--smoke") {
-            smokeFlag() = true;
-            continue;
+    compactArgs(argc, argv, [&](int &i) {
+        if (std::string(argv[i]) == "--smoke") {
+            opts().smoke = true;
+            return true;
         }
-        std::string *dest = nullptr;
-        std::string value;
-        bool consumed = false;
-        for (const auto &[flag, path] :
+        for (const auto &[flag, dest] :
              {std::pair<const char *, std::string *>{
-                  "--trace-out", &traceOutPath()},
-              {"--metrics-out", &metricsOutPath()},
-              {"--postmortem-out", &postmortemOutPath()},
+                  "--trace-out", &opts().traceOut},
+              {"--metrics-out", &opts().metricsOut},
+              {"--postmortem-out", &opts().postmortemOut},
               {"--trace-rotate-mb", &rotateMbValue},
               {"--metrics-interval", &intervalValue},
               {"--postmortem-spans", &postmortemSpansValue},
@@ -303,67 +247,53 @@ initBenchObservability(int &argc, char **argv)
               {"--oversub", &oversubStr},
               {"--ps-shards", &psShardsStr},
               {"--staleness", &stalenessStr},
-              {"--metrics-export-cmd", &metricsExportCmdValue()},
-              {"--bench-json", &benchJsonOutPath()},
-              {"--baseline", &baselinePath()},
-              {"--profile-out", &profileOutPathValue()}}) {
-            const std::string prefix = std::string(flag) + "=";
-            if (arg.rfind(prefix, 0) == 0) {
-                dest = path;
-                value = arg.substr(prefix.size());
-                consumed = true;
-            } else if (arg == flag) {
-                if (i + 1 >= argc)
-                    fatal(flag, " requires a value argument");
-                dest = path;
-                value = argv[++i];
-                consumed = true;
-            }
-            if (consumed)
-                break;
+              {"--metrics-export-cmd", &opts().metricsExportCmd},
+              {"--bench-json", &opts().benchJson},
+              {"--baseline", &opts().baseline},
+              {"--profile-out", &opts().profileOut}}) {
+            std::string value;
+            if (!matchFlag(flag, argc, argv, i, value))
+                continue;
+            if (value.empty())
+                fatal("empty value for observability flag: ", flag);
+            *dest = value;
+            any = true;
+            return true;
         }
-        if (!consumed) {
-            argv[out++] = argv[i];
-            continue;
-        }
-        if (value.empty())
-            fatal("empty value for observability flag: ", arg);
-        *dest = value;
-        any = true;
-    }
-    argc = out;
-    argv[argc] = nullptr;
+        return false;
+    });
 
     if (!threadsValue.empty())
         setGlobalThreads(parseCount("--threads", threadsValue));
     if (!seedStr.empty())
-        seedValue() = parseCount("--seed", seedStr);
+        opts().seed = parseCount("--seed", seedStr);
     if (!racksStr.empty()) {
-        racksValue() = parseCount("--racks", racksStr);
-        if (racksValue() == 0)
+        opts().racks = parseCount("--racks", racksStr);
+        if (opts().racks == 0)
             fatal("--racks must be at least 1");
     }
     if (!coreGbpsStr.empty())
-        coreGbpsValue() = parseReal("--core-gbps", coreGbpsStr);
+        opts().coreGbps = parseReal("--core-gbps", coreGbpsStr);
     if (!oversubStr.empty()) {
-        oversubValue() = parseReal("--oversub", oversubStr);
-        if (oversubValue() < 1.0)
+        opts().oversub = parseReal("--oversub", oversubStr);
+        if (opts().oversub < 1.0)
             fatal("--oversub must be >= 1 (1 = non-blocking core)");
     }
     if (!psShardsStr.empty()) {
-        psShardsValue() = parseCount("--ps-shards", psShardsStr);
-        if (psShardsValue() == 0)
+        opts().psShards = parseCount("--ps-shards", psShardsStr);
+        if (opts().psShards == 0)
             fatal("--ps-shards must be at least 1");
     }
     if (!stalenessStr.empty())
-        stalenessValue() = parseCount("--staleness", stalenessStr);
+        opts().staleness = parseCount("--staleness", stalenessStr);
 
     // Registered for every bench/example, not only flagged runs: the
     // always-on profiler's doctor summary is part of the default
     // output contract (it prints only when epochs were profiled).
-    // Touch the registry singletons first so their function-local
-    // statics are constructed -- and therefore destroyed -- strictly
-    // after this atexit handler runs.
+    // Touch the registry singletons and the options first so their
+    // function-local statics are constructed -- and therefore
+    // destroyed -- strictly after this atexit handler runs.
+    opts();
     obs::metrics();
     obs::profiler();
     std::atexit(writeObservabilityOutputs);
@@ -371,16 +301,16 @@ initBenchObservability(int &argc, char **argv)
     if (!any)
         return;
     if (!rotateMbValue.empty())
-        traceRotateMb() = parseCount("--trace-rotate-mb", rotateMbValue);
+        opts().traceRotateMb = parseCount("--trace-rotate-mb", rotateMbValue);
     if (!intervalValue.empty())
-        metricsIntervalEpochs() =
+        opts().metricsInterval =
             parseCount("--metrics-interval", intervalValue);
-    if (traceRotateMb() > 0 && traceOutPath().empty())
+    if (opts().traceRotateMb > 0 && opts().traceOut.empty())
         fatal("--trace-rotate-mb requires --trace-out");
-    if (metricsIntervalEpochs() > 0 && metricsOutPath().empty())
+    if (opts().metricsInterval > 0 && opts().metricsOut.empty())
         fatal("--metrics-interval requires --metrics-out");
-    if (!metricsExportCmdValue().empty() &&
-        (metricsOutPath().empty() || metricsIntervalEpochs() == 0))
+    if (!opts().metricsExportCmd.empty() &&
+        (opts().metricsOut.empty() || opts().metricsInterval == 0))
         fatal("--metrics-export-cmd requires --metrics-out and "
               "--metrics-interval (the NDJSON series is what gets "
               "piped)");
@@ -392,86 +322,86 @@ initBenchObservability(int &argc, char **argv)
         obs::flightRecorder().setCapacity(n);
     }
 
-    if (!postmortemOutPath().empty())
-        obs::armFlightRecorder(postmortemOutPath());
-    if (!traceOutPath().empty()) {
-        if (traceRotateMb() > 0) {
+    if (!opts().postmortemOut.empty())
+        obs::armFlightRecorder(opts().postmortemOut);
+    if (!opts().traceOut.empty()) {
+        if (opts().traceRotateMb > 0) {
             obs::StreamSinkConfig scfg;
-            scfg.path = traceOutPath();
-            scfg.rotateBytes = traceRotateMb() << 20;
-            streamSink() = new obs::StreamingTraceSink(scfg);
-            obs::tracer().setStreamSink(streamSink());
+            scfg.path = opts().traceOut;
+            scfg.rotateBytes = opts().traceRotateMb << 20;
+            opts().streamSink = new obs::StreamingTraceSink(scfg);
+            obs::tracer().setStreamSink(opts().streamSink);
         }
         obs::tracer().setEnabled(true);
     }
-    if (metricsIntervalEpochs() > 0)
-        seriesWriter() = new obs::MetricSeriesWriter(metricsOutPath());
+    if (opts().metricsInterval > 0)
+        opts().seriesWriter = new obs::MetricSeriesWriter(opts().metricsOut);
 }
 
 std::size_t
 metricsInterval()
 {
-    return metricsIntervalEpochs();
+    return opts().metricsInterval;
 }
 
 obs::MetricSeriesWriter *
 metricSeries()
 {
-    return seriesWriter();
+    return opts().seriesWriter;
 }
 
 bool
 smokeMode()
 {
-    return smokeFlag();
+    return opts().smoke;
 }
 
 std::uint64_t
 benchSeed()
 {
-    return seedValue();
+    return opts().seed;
 }
 
 std::size_t
 benchRacks()
 {
-    return racksValue();
+    return opts().racks;
 }
 
 double
 benchCoreGbps()
 {
-    return coreGbpsValue();
+    return opts().coreGbps;
 }
 
 double
 benchOversub()
 {
-    return oversubValue();
+    return opts().oversub;
 }
 
 std::size_t
 benchPsShards()
 {
-    return psShardsValue();
+    return opts().psShards;
 }
 
 std::size_t
 benchStaleness()
 {
-    return stalenessValue();
+    return opts().staleness;
 }
 
 const std::string &
 metricsExportCmd()
 {
-    return metricsExportCmdValue();
+    return opts().metricsExportCmd;
 }
 
 void
 applyFleetFlags(sim::ClusterConfig &cluster, std::size_t num_socs)
 {
-    const std::size_t racks = racksValue();
+    const std::size_t racks = opts().racks;
     if (racks <= 1)
         return;
     cluster.numRacks = racks;
@@ -480,26 +410,26 @@ applyFleetFlags(sim::ClusterConfig &cluster, std::size_t num_socs)
     const std::size_t numBoards =
         (num_socs + cluster.socsPerBoard - 1) / cluster.socsPerBoard;
     cluster.boardsPerRack = (numBoards + racks - 1) / racks;
-    cluster.coreBps = coreGbpsValue() * 1e9;
-    cluster.coreOversub = oversubValue();
+    cluster.coreBps = opts().coreGbps * 1e9;
+    cluster.coreOversub = opts().oversub;
 }
 
 const std::string &
 benchJsonPath()
 {
-    return benchJsonOutPath();
+    return opts().benchJson;
 }
 
 const std::string &
 benchBaselinePath()
 {
-    return baselinePath();
+    return opts().baseline;
 }
 
 const std::string &
 benchProfileOutPath()
 {
-    return profileOutPathValue();
+    return opts().profileOut;
 }
 
 bool
@@ -665,41 +595,20 @@ parseFaultPolicyFlags(int &argc, char **argv)
         {"--phi-threshold", &flags.phiThreshold, nullptr},
         {"--phi-window", nullptr, &flags.phiWindow},
     };
-
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        bool consumed = false;
+    compactArgs(argc, argv, [&](int &i) {
         for (const Knob &k : knobs) {
-            const std::string prefix = std::string(k.name) + "=";
             std::string value;
-            if (arg.rfind(prefix, 0) == 0) {
-                value = arg.substr(prefix.size());
-            } else if (arg == k.name) {
-                if (i + 1 >= argc)
-                    fatal(k.name, " requires a value");
-                value = argv[++i];
-            } else {
+            if (!matchFlag(k.name, argc, argv, i, value))
                 continue;
-            }
-            char *end = nullptr;
-            const double parsed = std::strtod(value.c_str(), &end);
-            if (value.empty() || end == nullptr || *end != '\0' ||
-                parsed < 0.0) {
-                fatal("bad value for ", k.name, ": '", value, "'");
-            }
+            const double parsed = parseNonNegative(k.name, value);
             if (k.valueD)
                 *k.valueD = parsed;
             else
                 *k.valueN = static_cast<std::size_t>(parsed);
-            consumed = true;
-            break;
+            return true;
         }
-        if (!consumed)
-            argv[out++] = argv[i];
-    }
-    argc = out;
-    argv[argc] = nullptr;
+        return false;
+    });
     return flags;
 }
 
@@ -711,7 +620,7 @@ paperWorkloads()
     static const std::vector<Workload> smoke = {
         {"LeNet5-FMNIST", "lenet5", "fmnist", 16},
     };
-    if (smokeFlag())
+    if (opts().smoke)
         return smoke;
     static const std::vector<Workload> workloads = {
         {"MobileNet", "mobilenet_v1", "cifar10", 64},
@@ -736,7 +645,7 @@ transferWorkload()
 double
 benchScale()
 {
-    if (smokeFlag())
+    if (opts().smoke)
         return 0.05;
     static const double scale = [] {
         const char *env = std::getenv("SOCFLOW_BENCH_SCALE");
@@ -751,7 +660,7 @@ benchScale()
 std::size_t
 scaledEpochs(std::size_t full)
 {
-    if (smokeFlag())
+    if (opts().smoke)
         return 1;
     const double scaled = static_cast<double>(full) * benchScale();
     return std::max<std::size_t>(3,
@@ -767,7 +676,7 @@ oursConfig(const Workload &w, std::size_t num_socs,
     cfg.numSocs = num_socs;
     cfg.numGroups = num_groups;
     cfg.groupBatch = w.batch;
-    cfg.seed = seedValue(); // --seed, default 42: reproducible BENCH numbers
+    cfg.seed = opts().seed; // --seed, default 42: reproducible BENCH numbers
     applyFleetFlags(cfg.clusterTemplate, num_socs); // --racks et al.
     return cfg;
 }
@@ -779,7 +688,7 @@ baselineConfig(const Workload &w, std::size_t num_socs)
     cfg.modelFamily = w.model;
     cfg.numSocs = num_socs;
     cfg.globalBatch = w.batch;
-    cfg.seed = seedValue(); // --seed, default 42
+    cfg.seed = opts().seed; // --seed, default 42
     return cfg;
 }
 
@@ -924,9 +833,9 @@ cachePath(const Workload &w, std::size_t socs, std::size_t epochs)
 {
     std::ostringstream oss;
     oss << ".bench_cache/" << w.key << '_' << socs << '_' << epochs
-        << '_' << benchScale() << (smokeFlag() ? "_smoke" : "");
-    if (seedValue() != 42)
-        oss << "_s" << seedValue();
+        << '_' << benchScale() << (opts().smoke ? "_smoke" : "");
+    if (opts().seed != 42)
+        oss << "_s" << opts().seed;
     oss << ".txt";
     return oss.str();
 }
