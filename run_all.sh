@@ -13,7 +13,11 @@
 #               and fig10_scalability, write BENCH_<tag>.json (tag
 #               defaults to the current commit's short hash), and fail
 #               if epochs/sec regresses more than 10% against the
-#               committed BENCH_baseline.json
+#               committed BENCH_baseline.json; then build the standalone
+#               benchmark/ project into build-bench and run its ctests
+#               (the traced binary's link-time --wrap of every layer
+#               entry point is the first thing a renamed entry point
+#               breaks)
 #   --chaos     run the fault + streaming-obs + membership + parallel
 #               determinism + fleet topology + sharded-PS suites
 #               under ASan+UBSan with 10 fixed chaos seeds
@@ -138,6 +142,9 @@ if [ "$1" = "--bench" ]; then
         exit 1
     fi
     ./build-rel/bench/fig10_scalability || exit 1
+    cmake -S benchmark -B build-bench -DCMAKE_BUILD_TYPE=Release || exit 1
+    cmake --build build-bench -j || exit 1
+    ctest --test-dir build-bench --output-on-failure || exit 1
     echo "BENCH_RUN_COMPLETE (wrote $out)"
     exit 0
 fi
