@@ -173,8 +173,9 @@ struct BenchRun {
     std::uint64_t timelineHash = 0;  //!< must match across same-label rows
     /** Scenario tag ("" = the default single-rack scenario; fleet
      *  rows carry e.g. "fleet-4rack"). Hash equality is only required
-     *  within one label, and the regression anchor ignores labeled
-     *  rows so pre-fleet baselines stay comparable. */
+     *  within one label. The regression anchor ignores labeled rows;
+     *  a labeled row gates only against the baseline row with the
+     *  same label and thread count. */
     std::string label;
     /** Optional per-phase breakdown from the critical-path profiler
      *  (simulated seconds over the run's epochs). Informational

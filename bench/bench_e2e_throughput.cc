@@ -17,8 +17,10 @@
  *                     numbers are reproducible for a fixed seed
  *   --bench-json=<p>  write the machine-readable report here
  *   --baseline=<p>    compare against a committed BENCH_*.json and
- *                     exit non-zero if epochs/sec at the anchor
- *                     thread count regressed by more than 10%
+ *                     exit non-zero if epochs/sec regressed by more
+ *                     than 10% at the single-rack anchor thread
+ *                     count, or on any labeled row whose label and
+ *                     thread count the baseline also has
  *   --smoke           tiny scenario + {1,2} threads for ctest
  *
  * Workflow (see README "Performance baseline"):
@@ -162,8 +164,9 @@ runOnce(std::size_t threads, const Scenario &sc)
 
 /**
  * Prefer the 4-thread row as the speedup anchor, else the fastest.
- * Labeled (fleet) rows are skipped so comparisons against pre-fleet
- * baseline JSONs stay apples to apples.
+ * Labeled (fleet) rows are skipped: they gate only against baseline
+ * rows of the same label and thread count, which pre-fleet baseline
+ * JSONs do not have.
  */
 const bench::BenchRun *
 anchorRun(const bench::BenchReport &r, std::size_t want)
@@ -178,6 +181,20 @@ anchorRun(const bench::BenchReport &r, std::size_t want)
             best = &run;
     }
     return best;
+}
+
+/** Print one baseline comparison; false on a >10% regression. */
+bool
+withinBaseline(const bench::BenchRun &cur, const bench::BenchRun &ref)
+{
+    const double ratio = cur.epochsPerSec / ref.epochsPerSec;
+    std::fprintf(stderr,
+                 "baseline compare (%s, threads=%zu): %.3f vs %.3f "
+                 "epochs/s (%.0f%% of baseline)\n",
+                 cur.label.empty() ? "single-rack" : cur.label.c_str(),
+                 cur.threads, cur.epochsPerSec, ref.epochsPerSec,
+                 100.0 * ratio);
+    return ratio >= 0.9;
 }
 
 } // namespace
@@ -271,13 +288,17 @@ main(int argc, char **argv)
             std::fprintf(stderr, "baseline has no usable runs\n");
             return 1;
         }
-        const double ratio = cur->epochsPerSec / ref->epochsPerSec;
-        std::fprintf(stderr,
-                     "baseline compare (threads=%zu): %.3f vs %.3f "
-                     "epochs/s (%.0f%% of baseline)\n",
-                     cur->threads, cur->epochsPerSec,
-                     ref->epochsPerSec, 100.0 * ratio);
-        if (ratio < 0.9) {
+        bool ok = withinBaseline(*cur, *ref);
+        for (const auto &run : report.runs) {
+            if (run.label.empty())
+                continue;
+            for (const auto &b : baseline.runs) {
+                if (b.label == run.label && b.threads == run.threads &&
+                    b.epochsPerSec > 0.0)
+                    ok = withinBaseline(run, b) && ok;
+            }
+        }
+        if (!ok) {
             std::fprintf(stderr,
                          "FAIL: epochs/sec regressed >10%% vs %s\n",
                          bench::benchBaselinePath().c_str());

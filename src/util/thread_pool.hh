@@ -3,11 +3,11 @@
  * A minimal fixed-size thread pool with a parallel-for helper.
  *
  * The simulation core fans independent work items (per-group training
- * steps, flow-network bottleneck scans, GEMM row blocks) across the
- * pool. Callers are responsible for keeping results bit-reproducible
- * regardless of pool size: each parallel item must write disjoint
- * outputs, and any cross-item accumulation must be folded serially in
- * a fixed order after the join (see DESIGN.md ch. 9).
+ * steps, GEMM row blocks, conv samples) across the pool. Callers are
+ * responsible for keeping results bit-reproducible regardless of pool
+ * size: each parallel item must write disjoint outputs, and any
+ * cross-item accumulation must be folded serially in a fixed order
+ * after the join (see DESIGN.md ch. 9).
  *
  * Safety properties added for the parallel core:
  *  - exceptions thrown by submitted tasks are captured and rethrown

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "collectives/engine.hh"
@@ -146,6 +147,118 @@ TEST(CollectiveEngine, ConcurrentDisjointBoardsDontContend)
     const double together = eng.concurrentRings(rings, 10e6).seconds;
     const double alone = eng.ringAllReduce(rings[0], 10e6).seconds;
     EXPECT_NEAR(together, alone, alone * 0.05);
+}
+
+namespace {
+
+/** FaultModel stub degrading one board's NIC. */
+class DegradedBoard : public fault::FaultModel
+{
+  public:
+    DegradedBoard(sim::BoardId board, double factor)
+        : board(board), factor(factor)
+    {
+    }
+    bool socAlive(SocId) const override { return true; }
+    double computeFactor(SocId) const override { return 1.0; }
+    double linkFactor(sim::BoardId b) const override
+    {
+        return b == board ? factor : 1.0;
+    }
+
+  private:
+    sim::BoardId board;
+    double factor;
+};
+
+/**
+ * concurrentRings priced the plain way: one makespan per round over
+ * the union of the live rings' flows, with degraded-NIC inflation.
+ */
+CommStats
+perRoundRings(const Cluster &c, const fault::FaultModel &faults,
+              const std::vector<std::vector<SocId>> &rings, double bytes)
+{
+    CommStats stats;
+    std::size_t maxRounds = 0, maxParticipants = 0;
+    for (const auto &ring : rings) {
+        if (ring.size() > 1) {
+            maxRounds = std::max(maxRounds, 2 * (ring.size() - 1));
+            maxParticipants = std::max(maxParticipants, ring.size());
+        }
+    }
+    for (std::size_t round = 0; round < maxRounds; ++round) {
+        std::vector<sim::FlowSpec> flows;
+        for (const auto &ring : rings) {
+            if (ring.size() <= 1 || round >= 2 * (ring.size() - 1))
+                continue;
+            const double chunk = bytes / static_cast<double>(ring.size());
+            for (std::size_t i = 0; i < ring.size(); ++i) {
+                const SocId src = ring[i];
+                const SocId dst = ring[(i + 1) % ring.size()];
+                sim::FlowSpec f = c.transfer(src, dst, chunk);
+                if (c.board(src) != c.board(dst)) {
+                    const double lf =
+                        std::min(faults.linkFactor(c.board(src)),
+                                 faults.linkFactor(c.board(dst)));
+                    if (lf > 0.0 && lf < 1.0)
+                        f.bytes /= lf;
+                }
+                flows.push_back(f);
+            }
+            stats.wireBytes += chunk * static_cast<double>(ring.size());
+        }
+        stats.seconds += c.network().makespan(flows) +
+                         c.roundOverheadS(maxParticipants);
+        ++stats.rounds;
+    }
+    return stats;
+}
+
+} // namespace
+
+/**
+ * concurrentRings solves each distinct live-ring set once; its stats
+ * must still equal a per-round solve bit for bit, and an armed flow
+ * capture must see the same per-round resource usage.
+ */
+TEST(CollectiveEngine, ConcurrentRingsMatchPerRoundSolve)
+{
+    Cluster c = cluster60();
+    CollectiveEngine eng(c);
+    const DegradedBoard faults(1, 0.4);
+    eng.setFaultModel(&faults);
+    // Unequal sizes finish at rounds 2, 4 and 8; the size-1 ring
+    // never runs. Rings cross the degraded board-1 NIC.
+    const std::vector<std::vector<SocId>> rings = {
+        {3, 4, 5}, {2, 6, 7, 8, 11}, {12, 13}, {20}};
+    const double bytes = 7.5e6;
+
+    const CommStats got = eng.concurrentRings(rings, bytes);
+    const CommStats want = perRoundRings(c, faults, rings, bytes);
+    EXPECT_EQ(got.seconds, want.seconds);
+    EXPECT_EQ(got.wireBytes, want.wireBytes);
+    EXPECT_EQ(got.rounds, want.rounds);
+    EXPECT_EQ(got.rounds, 8u);
+
+    sim::FlowCapture gotCap, wantCap;
+    c.network().beginCapture(&gotCap);
+    const CommStats captured = eng.concurrentRings(rings, bytes);
+    c.network().endCapture();
+    c.network().beginCapture(&wantCap);
+    perRoundRings(c, faults, rings, bytes);
+    c.network().endCapture();
+    EXPECT_EQ(captured.seconds, got.seconds);
+    EXPECT_EQ(gotCap.simulations, wantCap.simulations);
+    ASSERT_EQ(gotCap.usage.size(), wantCap.usage.size());
+    for (std::size_t r = 0; r < gotCap.usage.size(); ++r) {
+        EXPECT_EQ(gotCap.usage[r].busySeconds,
+                  wantCap.usage[r].busySeconds) << "r=" << r;
+        EXPECT_EQ(gotCap.usage[r].bytes, wantCap.usage[r].bytes)
+            << "r=" << r;
+        EXPECT_EQ(gotCap.usage[r].bindingSeconds,
+                  wantCap.usage[r].bindingSeconds) << "r=" << r;
+    }
 }
 
 TEST(CollectiveEngine, ZeroBytesIsFree)
