@@ -36,21 +36,68 @@ BM_Gemm(benchmark::State &state)
 }
 BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
+/**
+ * 3x3, pad-1 conv shapes {channels, map side, batch}: the 12x12 sweep,
+ * then VGG-11's tails (32 channels on 3x3 maps, 64 on 1x1) at batch 4
+ * and 32, where one sample's GEMM has only 9 or 1 output columns.
+ */
+static void
+convShapes(benchmark::internal::Benchmark *b)
+{
+    b->ArgNames({"c", "side", "n"});
+    for (long c : {8, 16, 32})
+        b->Args({c, 12, 8});
+    for (long n : {4, 32}) {
+        b->Args({32, 3, n});
+        b->Args({64, 1, n});
+    }
+}
+
+/** Input, weight and output-sized tensors for one convShapes entry. */
+struct ConvFixture {
+    explicit ConvFixture(const benchmark::State &state)
+        : c(static_cast<std::size_t>(state.range(0))),
+          side(static_cast<std::size_t>(state.range(1))),
+          n(static_cast<std::size_t>(state.range(2))), g{c, c, 3, 1, 1},
+          rng(2), x(Tensor::randn({n, c, side, side}, rng)),
+          w(Tensor::randn({c, c, 3, 3}, rng)),
+          y(Tensor::randn({n, c, side, side}, rng))
+    {
+    }
+    std::size_t c, side, n;
+    tensor::ConvGeom g;
+    Rng rng;
+    Tensor x, w, y;
+};
+
 static void
 BM_Conv2dForward(benchmark::State &state)
 {
-    const std::size_t c = static_cast<std::size_t>(state.range(0));
-    Rng rng(2);
-    tensor::ConvGeom g{c, c, 3, 1, 1};
-    Tensor x = Tensor::randn({8, c, 12, 12}, rng);
-    Tensor w = Tensor::randn({c, c, 3, 3}, rng);
-    Tensor out({8, c, 12, 12});
+    ConvFixture f(state);
     for (auto _ : state) {
-        tensor::conv2dForward(x, w, g, out);
-        benchmark::DoNotOptimize(out.data());
+        tensor::conv2dForward(f.x, f.w, f.g, f.y);
+        benchmark::DoNotOptimize(f.y.data());
+        benchmark::ClobberMemory();
     }
+    state.SetItemsProcessed(state.iterations() * f.n);
 }
-BENCHMARK(BM_Conv2dForward)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_Conv2dForward)->Apply(convShapes);
+
+static void
+BM_Conv2dBackward(benchmark::State &state)
+{
+    // y is the output gradient; grad_w accumulates across iterations.
+    ConvFixture f(state);
+    Tensor gradX(f.x.shape()), gradW(f.w.shape());
+    for (auto _ : state) {
+        tensor::conv2dBackward(f.x, f.w, f.g, f.y, &gradX, gradW);
+        benchmark::DoNotOptimize(gradX.data());
+        benchmark::DoNotOptimize(gradW.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * f.n);
+}
+BENCHMARK(BM_Conv2dBackward)->Apply(convShapes);
 
 static void
 BM_DepthwiseConv(benchmark::State &state)

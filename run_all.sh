@@ -6,8 +6,10 @@
 #   --tsan      configure build-tsan with -DSANITIZE=thread and run
 #               the concurrency-sensitive suites (streaming obs sink
 #               flusher thread, membership/fencing, thread pool, the
-#               parallel determinism harness, and the sharded
-#               parameter-server suite) under ThreadSanitizer
+#               parallel determinism harness, the sharded
+#               parameter-server suite, and the conv kernels, whose
+#               chunk and GEMM row fan-outs run from the main thread)
+#               under ThreadSanitizer
 #   --bench [tag]
 #               build Release into build-rel, run bench_e2e_throughput
 #               and fig10_scalability, write BENCH_<tag>.json (tag
@@ -115,13 +117,13 @@ if [ "$1" = "--chaos-nightly" ]; then
 fi
 
 if [ "$1" = "--tsan" ]; then
-    tsan_targets="test_obs_stream test_membership test_thread_pool test_parallel_determinism test_ps test_profiler test_ckpt"
+    tsan_targets="test_obs_stream test_membership test_thread_pool test_parallel_determinism test_ps test_profiler test_ckpt test_conv"
     cmake -B build-tsan -S . -DSANITIZE=thread || exit 1
     cmake --build build-tsan -j --target $tsan_targets || exit 1
     ( set -o pipefail
       TSAN_OPTIONS=halt_on_error=1 \
           ctest --test-dir build-tsan --output-on-failure \
-              -R 'test_(obs_stream|membership|thread_pool|parallel_determinism|ps|profiler|ckpt)$' 2>&1 |
+              -R 'test_(obs_stream|membership|thread_pool|parallel_determinism|ps|profiler|ckpt|conv)$' 2>&1 |
           tee /root/repo/tsan_output.txt ) || exit 1
     echo "TSAN_RUN_COMPLETE"
     exit 0

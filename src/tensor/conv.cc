@@ -1,10 +1,15 @@
 #include "tensor/conv.hh"
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "tensor/ops.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
+
+namespace socflow {
+namespace tensor {
 
 namespace {
 
@@ -13,32 +18,34 @@ namespace {
 // per-worker scratch allocations the parallel path needs.
 constexpr std::size_t kParConvWorkMin = std::size_t{1} << 20;
 
-} // namespace
+// Output columns one GEMM covers: a chunk of samples lowers side by
+// side into one [krows, nb*cols] im2col matrix. VGG's 3x3 and 1x1
+// tails then run 252- and 256-column GEMMs instead of 9- and 1-column
+// ones, while the 64-row operand panels GEMM streams stay near L1.
+constexpr std::size_t kChunkCols = 256;
 
-namespace socflow {
-namespace tensor {
-
-std::size_t
-convOutDim(std::size_t in, std::size_t kernel, std::size_t stride,
-           std::size_t pad)
+/** Reuse `t` as a [rows, cols] matrix, reallocating on a new shape. */
+void
+fitMatrix(Tensor &t, std::size_t rows, std::size_t cols)
 {
-    SOCFLOW_ASSERT(in + 2 * pad >= kernel, "kernel larger than input");
-    return (in + 2 * pad - kernel) / stride + 1;
+    if (t.rank() != 2 || t.dim(0) != rows || t.dim(1) != cols)
+        t = Tensor({rows, cols});
 }
 
+// im2col/col2im over one sample's column slice of a matrix whose rows
+// are `ld` floats apart; the public forms are the ld == Ho*Wo case.
 void
-im2col(const float *x, std::size_t channels, std::size_t h,
-       std::size_t w, const ConvGeom &g, float *out)
+im2colLd(const float *x, std::size_t channels, std::size_t h,
+         std::size_t w, const ConvGeom &g, float *out, std::size_t ld)
 {
     const std::size_t ho = convOutDim(h, g.kernel, g.stride, g.pad);
     const std::size_t wo = convOutDim(w, g.kernel, g.stride, g.pad);
-    const std::size_t cols = ho * wo;
     std::size_t row = 0;
     for (std::size_t c = 0; c < channels; ++c) {
         const float *plane = x + c * h * w;
         for (std::size_t ky = 0; ky < g.kernel; ++ky) {
             for (std::size_t kx = 0; kx < g.kernel; ++kx, ++row) {
-                float *orow = out + row * cols;
+                float *orow = out + row * ld;
                 for (std::size_t oy = 0; oy < ho; ++oy) {
                     const std::ptrdiff_t iy =
                         static_cast<std::ptrdiff_t>(oy * g.stride + ky) -
@@ -63,39 +70,66 @@ im2col(const float *x, std::size_t channels, std::size_t h,
     }
 }
 
+/** Outputs o in [first, second) whose tap o*stride+k-pad is in [0, in). */
+std::pair<std::size_t, std::size_t>
+tapRange(std::size_t k, std::size_t in, std::size_t out, const ConvGeom &g)
+{
+    const std::size_t s = g.stride, p = g.pad;
+    const std::size_t hi =
+        in + p <= k ? 0 : std::min(out, (in + p - k + s - 1) / s);
+    return {std::min(hi, k >= p ? 0 : (p - k + s - 1) / s), hi};
+}
+
+void
+col2imLd(const float *cols_data, std::size_t ld, std::size_t channels,
+         std::size_t h, std::size_t w, const ConvGeom &g, float *x)
+{
+    const std::size_t ho = convOutDim(h, g.kernel, g.stride, g.pad);
+    const std::size_t wo = convOutDim(w, g.kernel, g.stride, g.pad);
+    std::size_t row = 0;
+    for (std::size_t c = 0; c < channels; ++c)
+        for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+            const auto [y0, y1] = tapRange(ky, h, ho, g);
+            for (std::size_t kx = 0; kx < g.kernel; ++kx, ++row) {
+                const auto [x0, x1] = tapRange(kx, w, wo, g);
+                for (std::size_t oy = y0; oy < y1; ++oy) {
+                    float *xrow =
+                        x + (c * h + oy * g.stride + ky - g.pad) * w;
+                    const float *crow = cols_data + row * ld + oy * wo;
+                    for (std::size_t ox = x0; ox < x1; ++ox)
+                        xrow[ox * g.stride + kx - g.pad] += crow[ox];
+                }
+            }
+        }
+}
+
+} // namespace
+
+std::size_t
+convOutDim(std::size_t in, std::size_t kernel, std::size_t stride,
+           std::size_t pad)
+{
+    SOCFLOW_ASSERT(in + 2 * pad >= kernel, "kernel larger than input");
+    return (in + 2 * pad - kernel) / stride + 1;
+}
+
+void
+im2col(const float *x, std::size_t channels, std::size_t h,
+       std::size_t w, const ConvGeom &g, float *out)
+{
+    im2colLd(x, channels, h, w, g, out,
+             convOutDim(h, g.kernel, g.stride, g.pad) *
+                 convOutDim(w, g.kernel, g.stride, g.pad));
+}
+
 void
 col2im(const float *cols_data, std::size_t channels, std::size_t h,
        std::size_t w, const ConvGeom &g, float *x)
 {
-    const std::size_t ho = convOutDim(h, g.kernel, g.stride, g.pad);
-    const std::size_t wo = convOutDim(w, g.kernel, g.stride, g.pad);
-    const std::size_t cols = ho * wo;
-    std::size_t row = 0;
-    for (std::size_t c = 0; c < channels; ++c) {
-        float *plane = x + c * h * w;
-        for (std::size_t ky = 0; ky < g.kernel; ++ky) {
-            for (std::size_t kx = 0; kx < g.kernel; ++kx, ++row) {
-                const float *crow = cols_data + row * cols;
-                for (std::size_t oy = 0; oy < ho; ++oy) {
-                    const std::ptrdiff_t iy =
-                        static_cast<std::ptrdiff_t>(oy * g.stride + ky) -
-                        static_cast<std::ptrdiff_t>(g.pad);
-                    if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h))
-                        continue;
-                    for (std::size_t ox = 0; ox < wo; ++ox) {
-                        const std::ptrdiff_t ix =
-                            static_cast<std::ptrdiff_t>(ox * g.stride +
-                                                        kx) -
-                            static_cast<std::ptrdiff_t>(g.pad);
-                        if (ix < 0 ||
-                            ix >= static_cast<std::ptrdiff_t>(w))
-                            continue;
-                        plane[iy * w + ix] += crow[oy * wo + ox];
-                    }
-                }
-            }
-        }
-    }
+    col2imLd(cols_data,
+             convOutDim(h, g.kernel, g.stride, g.pad) *
+                 convOutDim(w, g.kernel, g.stride, g.pad),
+             channels, h, w, g, x);
 }
 
 void
@@ -117,41 +151,49 @@ conv2dForward(const Tensor &x, const Tensor &weight, const ConvGeom &g,
 
     const std::size_t krows = g.inChannels * g.kernel * g.kernel;
     const std::size_t cols = ho * wo;
+    const std::size_t oc = g.outChannels;
+    const std::size_t nb =
+        std::min(n, std::max<std::size_t>(1, kChunkCols / cols));
+    const std::size_t chunks = (n + nb - 1) / nb;
 
-    // Weight viewed as [outC, krows]; im2col gives [krows, cols];
-    // product is [outC, cols] = one sample's output planes.
+    // Weight viewed as [outC, krows] times a chunk's [krows, nb*cols]
+    // im2col gives its output planes, sample-major within each row;
+    // each element sums its krows terms in ascending order either way.
     Tensor wmat = Tensor::fromValues(
-        {g.outChannels, krows},
+        {oc, krows},
         std::vector<float>(weight.data(), weight.data() + weight.numel()));
-
-    // Samples are independent and write disjoint output slices, so
-    // the batch fans out bit-exactly; each worker carries its own
-    // im2col scratch. Nested use (a pool worker already running the
-    // per-group trainer step) stays serial via the inline guard.
-    const std::size_t perSample = g.outChannels * krows * cols;
-    ThreadPool &pool = globalThreadPool();
-    if (n > 1 && perSample >= kParConvWorkMin && pool.size() > 1 &&
-        !ThreadPool::inWorkerThread()) {
-        pool.parallelFor(n, [&](std::size_t s) {
-            Tensor colsMat({krows, cols});
-            Tensor outMat({g.outChannels, cols});
-            im2col(x.data() + s * c * h * w, c, h, w, g,
-                   colsMat.data());
-            gemm(wmat, false, colsMat, false, outMat);
-            std::memcpy(out.data() + s * g.outChannels * cols,
-                        outMat.data(),
-                        sizeof(float) * g.outChannels * cols);
-        });
-        return;
-    }
-
-    Tensor colsMat({krows, cols});
-    Tensor outMat({g.outChannels, cols});
-    for (std::size_t s = 0; s < n; ++s) {
-        im2col(x.data() + s * c * h * w, c, h, w, g, colsMat.data());
+    const auto chunkTask = [&](std::size_t ci, Tensor &colsMat,
+                               Tensor &outMat) {
+        const std::size_t s0 = ci * nb, cnt = std::min(nb, n - s0);
+        const std::size_t ld = cnt * cols;
+        fitMatrix(colsMat, krows, ld);
+        fitMatrix(outMat, oc, ld);
+        for (std::size_t s = 0; s < cnt; ++s)
+            im2colLd(x.data() + (s0 + s) * c * h * w, c, h, w, g,
+                     colsMat.data() + s * cols, ld);
         gemm(wmat, false, colsMat, false, outMat);
-        std::memcpy(out.data() + s * g.outChannels * cols, outMat.data(),
-                    sizeof(float) * g.outChannels * cols);
+        for (std::size_t s = 0; s < cnt; ++s)
+            for (std::size_t o = 0; o < oc; ++o)
+                std::memcpy(out.data() + ((s0 + s) * oc + o) * cols,
+                            outMat.data() + o * ld + s * cols,
+                            sizeof(float) * cols);
+    };
+
+    // Chunks write disjoint output slices, so they fan out bit-exactly;
+    // each worker carries its own scratch. Nested use (a pool worker
+    // already running the per-group trainer step) stays serial via the
+    // inline guard.
+    ThreadPool &pool = globalThreadPool();
+    if (chunks > 1 && oc * krows * nb * cols >= kParConvWorkMin &&
+        pool.size() > 1 && !ThreadPool::inWorkerThread()) {
+        pool.parallelFor(chunks, [&](std::size_t ci) {
+            Tensor colsMat, outMat;
+            chunkTask(ci, colsMat, outMat);
+        });
+    } else {
+        Tensor colsMat, outMat;
+        for (std::size_t ci = 0; ci < chunks; ++ci)
+            chunkTask(ci, colsMat, outMat);
     }
 }
 
@@ -171,40 +213,53 @@ conv2dBackward(const Tensor &x, const Tensor &weight, const ConvGeom &g,
     SOCFLOW_ASSERT(grad_w.numel() == weight.numel(),
                    "conv grad_w size mismatch");
 
-    Tensor wmat = Tensor::fromValues(
-        {g.outChannels, krows},
-        std::vector<float>(weight.data(), weight.data() + weight.numel()));
-    Tensor gwMat = Tensor::fromValues(
-        {g.outChannels, krows},
-        std::vector<float>(grad_w.data(), grad_w.data() + grad_w.numel()));
-    Tensor colsMat({krows, cols});
-    Tensor goMat({g.outChannels, cols});
-    Tensor gcols({krows, cols});
+    const std::size_t oc = g.outChannels;
+    const std::size_t nb =
+        std::min(n, std::max<std::size_t>(1, kChunkCols / cols));
+
+    // W^T once per call, so no dX GEMM re-transposes the weight.
+    Tensor wT({krows, oc});
+    for (std::size_t o = 0; o < oc; ++o)
+        for (std::size_t k = 0; k < krows; ++k)
+            wT[k * oc + o] = weight[o * krows + k];
+    // grad_w accumulates in place, viewed as [outC, krows].
+    const Shape wShape = grad_w.shape();
+    grad_w.reshape({oc, krows});
+    Tensor colsMat, goMat, gcols;
 
     if (grad_x)
         grad_x->zero();
 
-    // The sample loop must stay serial: grad_w accumulates across
-    // samples in ascending-s order, and splitting that sum would
-    // change the float addition order. Parallelism comes from inside
-    // the two gemm calls instead, whose row fan-out preserves each
-    // output element's accumulation order exactly.
-    for (std::size_t s = 0; s < n; ++s) {
-        im2col(x.data() + s * c * h * w, c, h, w, g, colsMat.data());
-        std::memcpy(goMat.data(),
-                    grad_out.data() + s * g.outChannels * cols,
-                    sizeof(float) * g.outChannels * cols);
+    // The chunk loop must stay serial: grad_w accumulates chunk by
+    // chunk in ascending order, and the dW GEMM's inner dimension runs
+    // over (sample, column) sample-major -- the per-sample loop's float
+    // addition order. Parallelism comes from inside the GEMMs instead,
+    // whose row fan-out preserves each element's accumulation order.
+    for (std::size_t s0 = 0; s0 < n; s0 += nb) {
+        const std::size_t cnt = std::min(nb, n - s0);
+        const std::size_t ld = cnt * cols;
+        fitMatrix(colsMat, krows, ld);
+        fitMatrix(goMat, oc, ld);
+        for (std::size_t s = 0; s < cnt; ++s) {
+            im2colLd(x.data() + (s0 + s) * c * h * w, c, h, w, g,
+                     colsMat.data() + s * cols, ld);
+            for (std::size_t o = 0; o < oc; ++o)
+                std::memcpy(goMat.data() + o * ld + s * cols,
+                            grad_out.data() + ((s0 + s) * oc + o) * cols,
+                            sizeof(float) * cols);
+        }
         // dW += dOut * cols^T
-        gemm(goMat, false, colsMat, true, gwMat, 1.0f);
+        gemm(goMat, false, colsMat, true, grad_w, 1.0f);
         if (grad_x) {
-            // dCols = W^T * dOut ; then fold back.
-            gemm(wmat, true, goMat, false, gcols);
-            col2im(gcols.data(), c, h, w, g,
-                   grad_x->data() + s * c * h * w);
+            // dCols = W^T * dOut ; then fold each sample back.
+            fitMatrix(gcols, krows, ld);
+            gemm(wT, false, goMat, false, gcols);
+            for (std::size_t s = 0; s < cnt; ++s)
+                col2imLd(gcols.data() + s * cols, ld, c, h, w, g,
+                         grad_x->data() + (s0 + s) * c * h * w);
         }
     }
-    std::memcpy(grad_w.data(), gwMat.data(),
-                sizeof(float) * grad_w.numel());
+    grad_w.reshape(wShape);
 }
 
 void

@@ -2,9 +2,14 @@
  * @file
  * Convolution and pooling kernels (NCHW).
  *
- * Standard convolutions are lowered to GEMM through im2col; depthwise
- * convolutions (MobileNet) use a direct loop. Pooling keeps argmax
- * indices for the backward pass.
+ * Standard convolutions are lowered to GEMM through im2col a chunk of
+ * samples at a time: the chunk's im2col matrices sit side by side in
+ * one [C*k*k, nb*Ho*Wo] matrix (nb sized to about 256 columns), so the
+ * forward pass, dW and dX each take one GEMM per chunk. Every output
+ * element sums the same products in the same order as a per-sample
+ * lowering, so results are bit-exact with it at any thread count.
+ * Depthwise convolutions (MobileNet) use a direct loop. Pooling keeps
+ * argmax indices for the backward pass.
  */
 
 #ifndef SOCFLOW_TENSOR_CONV_HH

@@ -1,16 +1,22 @@
 /**
  * @file
- * Convolution/pooling kernels: naive-reference cross-checks and
- * numeric gradient verification over a geometry sweep.
+ * Convolution/pooling kernels: naive-reference cross-checks,
+ * numeric gradient verification over a geometry sweep, and a
+ * bit-exact differential check of the chunked im2col lowering
+ * against the per-sample loops it replaced.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <sstream>
 
 #include "tensor/conv.hh"
+#include "tensor/ops.hh"
 #include "tensor/tensor.hh"
 #include "util/rng.hh"
+#include "util/thread_pool.hh"
 
 using namespace socflow;
 using namespace socflow::tensor;
@@ -274,3 +280,204 @@ TEST(GlobalAvgPool, ForwardAndBackward)
     EXPECT_FLOAT_EQ(gradX[0], 2.0f);
     EXPECT_FLOAT_EQ(gradX[2], 4.0f);
 }
+
+// ------------------------------------- chunked vs per-sample lowering
+
+namespace {
+
+/**
+ * Visit one sample's packed im2col matrix in (c, ky, kx, oy, ox) order
+ * with the input offset each entry reads, or -1 for padding.
+ */
+template <typename Fn>
+void
+forEachTap(std::size_t c, std::size_t h, std::size_t w, const ConvGeom &g,
+           Fn &&fn)
+{
+    const std::size_t ho = convOutDim(h, g.kernel, g.stride, g.pad);
+    const std::size_t wo = convOutDim(w, g.kernel, g.stride, g.pad);
+    const std::ptrdiff_t ih = h, iw = w, pad = g.pad;
+    std::size_t m = 0;
+    for (std::size_t ch = 0; ch < c; ++ch)
+    for (std::size_t ky = 0; ky < g.kernel; ++ky)
+    for (std::size_t kx = 0; kx < g.kernel; ++kx)
+    for (std::size_t oy = 0; oy < ho; ++oy)
+    for (std::size_t ox = 0; ox < wo; ++ox, ++m) {
+        const std::ptrdiff_t iy =
+            static_cast<std::ptrdiff_t>(oy * g.stride + ky) - pad;
+        const std::ptrdiff_t ix =
+            static_cast<std::ptrdiff_t>(ox * g.stride + kx) - pad;
+        const bool in = iy >= 0 && iy < ih && ix >= 0 && ix < iw;
+        fn(m, in ? (static_cast<std::ptrdiff_t>(ch) * ih + iy) * iw + ix
+                 : -1);
+    }
+}
+
+/** Test-local im2col, independent of the kernel under test. */
+void
+refIm2col(const float *x, std::size_t c, std::size_t h, std::size_t w,
+          const ConvGeom &g, float *out)
+{
+    forEachTap(c, h, w, g, [&](std::size_t m, std::ptrdiff_t i) {
+        out[m] = i < 0 ? 0.0f : x[i];
+    });
+}
+
+/** Test-local col2im: accumulates in the same (c, ky, kx, oy, ox) order. */
+void
+refCol2im(const float *cols, std::size_t c, std::size_t h, std::size_t w,
+          const ConvGeom &g, float *x)
+{
+    forEachTap(c, h, w, g, [&](std::size_t m, std::ptrdiff_t i) {
+        if (i >= 0)
+            x[i] += cols[m];
+    });
+}
+
+/** Forward as it was before chunking: one im2col + GEMM per sample. */
+void
+perSampleForward(const Tensor &x, const Tensor &weight,
+                 const ConvGeom &g, Tensor &out)
+{
+    const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2),
+                      w = x.dim(3);
+    const std::size_t cols = convOutDim(h, g.kernel, g.stride, g.pad) *
+                             convOutDim(w, g.kernel, g.stride, g.pad);
+    const std::size_t krows = c * g.kernel * g.kernel;
+    Tensor wmat = Tensor::fromValues(
+        {g.outChannels, krows},
+        std::vector<float>(weight.data(), weight.data() + weight.numel()));
+    Tensor colsMat({krows, cols});
+    Tensor outMat({g.outChannels, cols});
+    for (std::size_t s = 0; s < n; ++s) {
+        refIm2col(x.data() + s * c * h * w, c, h, w, g, colsMat.data());
+        gemm(wmat, false, colsMat, false, outMat);
+        std::memcpy(out.data() + s * g.outChannels * cols, outMat.data(),
+                    sizeof(float) * g.outChannels * cols);
+    }
+}
+
+/** Backward as it was before chunking: 2-3 GEMMs per sample. */
+void
+perSampleBackward(const Tensor &x, const Tensor &weight,
+                  const ConvGeom &g, const Tensor &grad_out,
+                  Tensor *grad_x, Tensor &grad_w)
+{
+    const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2),
+                      w = x.dim(3);
+    const std::size_t cols = convOutDim(h, g.kernel, g.stride, g.pad) *
+                             convOutDim(w, g.kernel, g.stride, g.pad);
+    const std::size_t krows = c * g.kernel * g.kernel;
+    Tensor wmat = Tensor::fromValues(
+        {g.outChannels, krows},
+        std::vector<float>(weight.data(), weight.data() + weight.numel()));
+    Tensor gwMat = Tensor::fromValues(
+        {g.outChannels, krows},
+        std::vector<float>(grad_w.data(), grad_w.data() + grad_w.numel()));
+    Tensor colsMat({krows, cols});
+    Tensor goMat({g.outChannels, cols});
+    Tensor gcols({krows, cols});
+    if (grad_x)
+        grad_x->zero();
+    for (std::size_t s = 0; s < n; ++s) {
+        refIm2col(x.data() + s * c * h * w, c, h, w, g, colsMat.data());
+        std::memcpy(goMat.data(),
+                    grad_out.data() + s * g.outChannels * cols,
+                    sizeof(float) * g.outChannels * cols);
+        gemm(goMat, false, colsMat, true, gwMat, 1.0f);
+        if (grad_x) {
+            gemm(wmat, true, goMat, false, gcols);
+            refCol2im(gcols.data(), c, h, w, g,
+                      grad_x->data() + s * c * h * w);
+        }
+    }
+    std::memcpy(grad_w.data(), gwMat.data(),
+                sizeof(float) * grad_w.numel());
+}
+
+bool
+sameBits(const Tensor &a, const Tensor &b)
+{
+    return a.numel() == b.numel() &&
+           std::memcmp(a.data(), b.data(), sizeof(float) * a.numel()) ==
+               0;
+}
+
+/**
+ * conv.cc lowers about this many output columns per GEMM; the batch
+ * sizes below straddle the resulting chunk boundary.
+ */
+constexpr std::size_t kChunkCols = 256;
+
+struct DiffCase {
+    std::size_t c, h, outC, k, stride, pad;
+};
+
+class ConvChunkedBitExact : public ::testing::TestWithParam<DiffCase>
+{
+};
+
+TEST_P(ConvChunkedBitExact, MatchesPerSampleLowering)
+{
+    const DiffCase p = GetParam();
+    const ConvGeom g{p.c, p.outC, p.k, p.stride, p.pad};
+    const std::size_t ho = convOutDim(p.h, p.k, p.stride, p.pad);
+    const std::size_t perChunk = std::max<std::size_t>(
+        1, kChunkCols / (ho * ho));
+    // One sample, exactly one chunk, and two chunks plus a partial one.
+    const std::size_t batches[] = {1, perChunk, 2 * perChunk + 1};
+    for (std::size_t threads : {1, 3}) {
+        setGlobalThreads(threads);
+        for (std::size_t n : batches) {
+            SCOPED_TRACE(testing::Message() << "n=" << n << " threads="
+                                            << threads);
+            Rng rng(p.c * 131 + p.h * 17 + n);
+            Tensor x = Tensor::randn({n, p.c, p.h, p.h}, rng);
+            Tensor w = Tensor::randn({p.outC, p.c, p.k, p.k}, rng);
+            // Exact zeros in the weight and a ReLU-style mask on
+            // grad_out drive GEMM's zero-skip in all three products.
+            for (std::size_t i = 0; i < w.numel(); i += 7)
+                w[i] = 0.0f;
+            Tensor gout = Tensor::randn({n, p.outC, ho, ho}, rng);
+            Tensor mask = Tensor::randn(gout.shape(), rng);
+            for (std::size_t i = 0; i < gout.numel(); ++i)
+                if (mask[i] < 0.0f)
+                    gout[i] = 0.0f;
+            const Tensor gw0 = Tensor::randn(w.shape(), rng, 0.1f);
+
+            Tensor out(gout.shape()), refOut(gout.shape());
+            conv2dForward(x, w, g, out);
+            perSampleForward(x, w, g, refOut);
+            EXPECT_TRUE(sameBits(out, refOut)) << "forward";
+
+            Tensor gx(x.shape()), refGx(x.shape());
+            Tensor gw = gw0, refGw = gw0;
+            conv2dBackward(x, w, g, gout, &gx, gw);
+            perSampleBackward(x, w, g, gout, &refGx, refGw);
+            EXPECT_TRUE(sameBits(gx, refGx)) << "grad_x";
+            EXPECT_TRUE(sameBits(gw, refGw)) << "grad_w";
+
+            Tensor gwOnly = gw0;
+            conv2dBackward(x, w, g, gout, nullptr, gwOnly);
+            EXPECT_TRUE(sameBits(gwOnly, refGw)) << "grad_w, no grad_x";
+        }
+    }
+    setGlobalThreads(0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ConvChunkedBitExact,
+    ::testing::Values(DiffCase{1, 12, 6, 5, 1, 2},  // LeNet conv1
+                      DiffCase{6, 6, 16, 5, 1, 2},  // LeNet conv2
+                      DiffCase{32, 3, 64, 3, 1, 1}, // VGG 3x3 tail
+                      DiffCase{32, 1, 64, 3, 1, 1}, // VGG 1x1 tail
+                      DiffCase{3, 9, 4, 3, 2, 1}),  // stride 2
+    [](const ::testing::TestParamInfo<DiffCase> &info) {
+        const DiffCase &p = info.param;
+        std::ostringstream name;
+        name << "c" << p.c << "_hw" << p.h << "_o" << p.outC << "_k"
+             << p.k << "_s" << p.stride;
+        return name.str();
+    });
+
+} // namespace

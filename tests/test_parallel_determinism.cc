@@ -11,7 +11,8 @@
  * approximate), and the full HarvestReport to be identical to the
  * serial run:
  *
- *  - a clean multi-epoch run;
+ *  - a clean multi-epoch run, plus clean LeNet-5 and VGG-11 runs so
+ *    the convolution kernels are covered (every other run is an MLP);
  *  - one scenario per fault kind (crash, link degrade, straggler,
  *    checkpoint failure, mid-wave crash, grad corruption, leader
  *    crash, board partition, switch partition, rejoin);
@@ -27,13 +28,16 @@
  * same way at every thread count. The clean run, every fault kind and
  * the default-seed harvest day are therefore also pinned: the serial
  * run must reproduce a timeline hash and a weights digest recorded
- * before the trainer was decomposed into phases. A pin changes only
- * with a deliberate, documented behaviour change.
+ * before the trainer was decomposed into phases. The two conv runs
+ * are pinned to the per-sample im2col lowering that the chunked one
+ * replaced. A pin changes only with a deliberate, documented
+ * behaviour change.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "ckpt/replicated_store.hh"
@@ -57,14 +61,14 @@ namespace {
 const std::size_t kThreadSweep[] = {2, 5, 8};
 
 data::DataBundle
-tinyBundle(std::uint64_t seed = 77)
+tinyBundle(std::uint64_t seed = 77, std::size_t side = 8)
 {
     data::SyntheticParams p;
     p.name = "tiny";
     p.classes = 4;
     p.channels = 1;
-    p.height = 8;
-    p.width = 8;
+    p.height = side;
+    p.width = side;
     p.trainSamples = 256;
     p.testSamples = 96;
     p.noise = 0.3;
@@ -126,12 +130,19 @@ struct RunResult {
     std::size_t epochsDone = 0;
 };
 
-/** Train `epochs` epochs with an optional attached fault plan. */
+/**
+ * Train `epochs` epochs with an optional attached fault plan. The
+ * conv families run on 12x12 inputs, so LeNet-5 convolves 12x12 and
+ * 6x6 maps and VGG-11 reaches its 3x3 and 1x1 tails.
+ */
 RunResult
-runTrainer(const FaultPlan *plan, int epochs)
+runTrainer(const FaultPlan *plan, int epochs, const char *family = "mlp")
 {
-    data::DataBundle bundle = tinyBundle();
-    core::SoCFlowTrainer trainer(tinyConfig(), bundle);
+    const bool conv = std::string(family) != "mlp";
+    data::DataBundle bundle = tinyBundle(77, conv ? 12 : 8);
+    core::SoCFlowConfig cfg = tinyConfig();
+    cfg.modelFamily = family;
+    core::SoCFlowTrainer trainer(cfg, bundle);
     FaultInjector inj(plan ? *plan : FaultPlan{});
     if (plan)
         trainer.attachFaultInjector(&inj);
@@ -238,6 +249,22 @@ TEST(ParallelDeterminism, CleanRunBitExact)
     const Pinned pin{0x82d26538afcd3181ULL, 0x7658a47cd15fa2c6ULL};
     expectBitExactAcrossThreads([] { return runTrainer(nullptr, 4); },
                                 "clean", &pin);
+}
+
+TEST(ParallelDeterminism, CleanLeNet5BitExact)
+{
+    const Pinned pin{0xf7798640b241dbe2ULL, 0x8aa3439e7815ac73ULL};
+    expectBitExactAcrossThreads(
+        [] { return runTrainer(nullptr, 2, "lenet5"); }, "clean-lenet5",
+        &pin);
+}
+
+TEST(ParallelDeterminism, CleanVgg11BitExact)
+{
+    const Pinned pin{0x58747481003c3576ULL, 0xc06a7c98307f0becULL};
+    expectBitExactAcrossThreads(
+        [] { return runTrainer(nullptr, 2, "vgg11"); }, "clean-vgg11",
+        &pin);
 }
 
 TEST(ParallelDeterminism, SingleGroupDegeneratesCleanly)
