@@ -1,6 +1,8 @@
 #include "bench_common.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -152,11 +154,24 @@ parseNonNegative(const std::string &flag, const std::string &value)
     return parsed;
 }
 
-/** Parse a non-negative integer flag value (fatal on junk). */
+/**
+ * Parse a non-negative integer flag value: decimal digits only, so a
+ * sign, a fraction, an exponent or an out-of-range value is fatal
+ * rather than silently truncated or rounded.
+ */
 std::size_t
 parseCount(const std::string &flag, const std::string &value)
 {
-    return static_cast<std::size_t>(parseNonNegative(flag, value));
+    const bool digits =
+        !value.empty() &&
+        std::all_of(value.begin(), value.end(),
+                    [](unsigned char c) { return std::isdigit(c); });
+    errno = 0;
+    const unsigned long long parsed =
+        digits ? std::strtoull(value.c_str(), nullptr, 10) : 0;
+    if (!digits || errno == ERANGE)
+        fatal("bad value for ", flag, ": '", value, "'");
+    return static_cast<std::size_t>(parsed);
 }
 
 /** Parse a positive real flag value (fatal on junk). */
@@ -392,12 +407,6 @@ benchStaleness()
     return opts().staleness;
 }
 
-const std::string &
-metricsExportCmd()
-{
-    return opts().metricsExportCmd;
-}
-
 void
 applyFleetFlags(sim::ClusterConfig &cluster, std::size_t num_socs)
 {
@@ -424,12 +433,6 @@ const std::string &
 benchBaselinePath()
 {
     return opts().baseline;
-}
-
-const std::string &
-benchProfileOutPath()
-{
-    return opts().profileOut;
 }
 
 bool
@@ -600,11 +603,10 @@ parseFaultPolicyFlags(int &argc, char **argv)
             std::string value;
             if (!matchFlag(k.name, argc, argv, i, value))
                 continue;
-            const double parsed = parseNonNegative(k.name, value);
             if (k.valueD)
-                *k.valueD = parsed;
+                *k.valueD = parseNonNegative(k.name, value);
             else
-                *k.valueN = static_cast<std::size_t>(parsed);
+                *k.valueN = parseCount(k.name, value);
             return true;
         }
         return false;

@@ -142,9 +142,6 @@ std::size_t benchPsShards();
 /** --staleness flag value (default 4): bounded-staleness limit. */
 std::size_t benchStaleness();
 
-/** --metrics-export-cmd flag value (empty = no export hook). */
-const std::string &metricsExportCmd();
-
 /**
  * Apply the fleet flags to a cluster template: with --racks > 1 the
  * boards of `num_socs` SoCs are spread evenly across the racks and
@@ -159,9 +156,6 @@ const std::string &benchJsonPath();
 
 /** --baseline flag value (empty = no regression comparison). */
 const std::string &benchBaselinePath();
-
-/** --profile-out flag value (empty = no profiler JSON requested). */
-const std::string &benchProfileOutPath();
 
 /** One measured thread configuration of a throughput bench. */
 struct BenchRun {

@@ -273,7 +273,8 @@ incastAnchorRows()
     mono.label = "flow/mono-ps/32soc-vgg11";
     mono.epochs = 1;
     mono.simSeconds =
-        engine.paramServerDetailed(all, 0, vggBytes).stats.seconds;
+        engine.shardedParamServer(all, {0}, {vggBytes}, {vggBytes})
+            .stats.seconds;
 
     // One server per board, capped at the board count (32 SoCs at 5
     // per board = 7 boards, so the default 8 shards fold onto 7

@@ -58,8 +58,11 @@
 #   --docs-check
 #               fail if any user-facing "--flag" handled by
 #               bench/bench_common.cc is documented in neither
-#               README.md nor DESIGN.md
-cd /root/repo
+#               README.md nor DESIGN.md, or if a backticked lowerCamel
+#               or Type::member identifier in README.md or DESIGN.md
+#               names nothing in src/, bench/, tests/, examples/ or
+#               benchmark/ (registered as the docs_check ctest)
+cd "$(dirname "$0")" || exit 1
 
 chaos_targets="test_fault test_fault_step test_obs_stream test_membership test_parallel_determinism test_fleet_topology test_ps test_profiler test_ckpt"
 chaos_regex='test_(fault($|_step)|obs_stream$|membership$|parallel_determinism$|fleet_topology$|ps$|profiler$|ckpt$)'
@@ -229,10 +232,32 @@ if [ "$1" = "--docs-check" ]; then
             status=1
         fi
     done
+    # Every backticked identifier span (`fooBar`, `fooBar()`,
+    # `Type::member`) must still name something in the code, so a
+    # rename or deletion cannot leave the docs pointing at nothing.
+    # A Type::member resolves when `member` occurs in a file that
+    # mentions `Type` (fields are rarely spelled qualified).
+    code="src bench tests examples benchmark"
+    words=$(grep -rhoE '[A-Za-z_][A-Za-z0-9_]*' $code | sort -u)
+    for id in $(grep -ohE '`[^`]+`' README.md DESIGN.md | tr -d '`' |
+                    sed -E 's/\(.*\)$//' |
+                    grep -xE '[a-z][a-z0-9]*([A-Z][A-Za-z0-9]*)+|[A-Z][A-Za-z0-9]*::~?[A-Za-z_][A-Za-z0-9_]*' |
+                    sort -u); do
+        case $id in
+          *::*)
+            member=${id##*::}
+            grep -rlw -e "${id%%::*}" $code |
+                xargs grep -qw -e "${member#\~}" && continue ;;
+          *)
+            grep -qxF -e "$id" <<<"$words" && continue ;;
+        esac
+        echo "DOCS_CHECK_STALE_IDENTIFIER $id"
+        status=1
+    done
     if [ $status -eq 0 ]; then
         echo "DOCS_CHECK_COMPLETE"
     else
-        echo "DOCS_CHECK_FAILED (flags above missing from README.md and DESIGN.md)"
+        echo "DOCS_CHECK_FAILED (flags above missing from README.md and DESIGN.md, or identifiers above missing from the code)"
     fi
     exit $status
 fi

@@ -13,14 +13,6 @@ namespace baselines {
 
 namespace {
 
-sim::ClusterConfig
-clusterFor(const BaselineConfig &cfg)
-{
-    sim::ClusterConfig c = cfg.clusterTemplate;
-    c.numSocs = cfg.numSocs;
-    return c;
-}
-
 std::vector<sim::SocId>
 allSocs(std::size_t n)
 {
@@ -30,17 +22,6 @@ allSocs(std::size_t n)
     return v;
 }
 
-nn::Model
-buildInitialModel(const BaselineConfig &cfg, const data::DataBundle &b,
-                  const std::vector<float> *initial)
-{
-    Rng init_rng(cfg.seed ^ 0xbeef);
-    nn::Model m = nn::buildModel(cfg.modelFamily, b.spec, init_rng);
-    if (initial)
-        m.setFlatParams(*initial);
-    return m;
-}
-
 } // namespace
 
 ExactSyncTrainer::ExactSyncTrainer(BaselineConfig config,
@@ -48,8 +29,11 @@ ExactSyncTrainer::ExactSyncTrainer(BaselineConfig config,
                                    const std::vector<float> *initial)
     : cfg(std::move(config)), bundle(bundle_in),
       profile(sim::modelProfile(cfg.modelFamily)),
-      cluster(clusterFor(cfg)), engine(cluster), compute(),
-      model(buildInitialModel(cfg, bundle_in, initial)), rng(cfg.seed)
+      cluster(core::clusterFor(cfg.clusterTemplate, cfg.numSocs)),
+      engine(cluster), compute(),
+      model(core::buildInitialModel(cfg.modelFamily, bundle_in.spec,
+                                    cfg.seed, initial)),
+      rng(cfg.seed)
 {
     sgd = std::make_unique<nn::Sgd>(model, cfg.sgd);
 }
@@ -147,10 +131,7 @@ ExactSyncTrainer::runEpoch()
         rec.simSeconds * static_cast<double>(cfg.numSocs);
     const double busySocSeconds =
         cpuSocSeconds * f + commSocSeconds * f;
-    if (totalSocSeconds > busySocSeconds) {
-        meter.accumulate(sim::PowerState::Idle,
-                         totalSocSeconds - busySocSeconds);
-    }
+    meter.fillIdle(totalSocSeconds, busySocSeconds);
 
     rec.energyJoules = meter.totalJoules();
     rec.trainLoss = sampleSum ? lossSum / sampleSum : 0.0;
@@ -162,21 +143,7 @@ ExactSyncTrainer::runEpoch()
 double
 ExactSyncTrainer::testAccuracy()
 {
-    const auto &test = bundle.test;
-    const std::size_t chunk = 256;
-    std::size_t correct = 0;
-    for (std::size_t start = 0; start < test.size(); start += chunk) {
-        std::vector<std::size_t> idx;
-        for (std::size_t i = start;
-             i < std::min(test.size(), start + chunk); ++i)
-            idx.push_back(i);
-        auto [x, y] = test.batch(idx);
-        nn::StepResult r = model.evaluate(x, y);
-        correct += static_cast<std::size_t>(
-            std::lround(r.accuracy * static_cast<double>(r.samples)));
-    }
-    return static_cast<double>(correct) /
-           static_cast<double>(test.size());
+    return core::testAccuracy(model, bundle.test);
 }
 
 // ------------------------------------------------------------------ PS

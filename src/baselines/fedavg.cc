@@ -1,7 +1,6 @@
 #include "baselines/fedavg.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "collectives/reduce.hh"
 #include "sim/energy.hh"
@@ -9,18 +8,6 @@
 
 namespace socflow {
 namespace baselines {
-
-namespace {
-
-sim::ClusterConfig
-clusterFor(const BaselineConfig &cfg)
-{
-    sim::ClusterConfig c = cfg.clusterTemplate;
-    c.numSocs = cfg.numSocs;
-    return c;
-}
-
-} // namespace
 
 FedAvgTrainer::Client::Client(const nn::Model &proto,
                               const nn::SgdConfig &scfg)
@@ -35,14 +22,12 @@ FedAvgTrainer::FedAvgTrainer(BaselineConfig config,
                              const std::vector<float> *initial)
     : cfg(std::move(config)), bundle(bundle_in),
       profile(sim::modelProfile(cfg.modelFamily)),
-      cluster(clusterFor(cfg)), engine(cluster), agg(aggregation),
+      cluster(core::clusterFor(cfg.clusterTemplate, cfg.numSocs)),
+      engine(cluster), agg(aggregation),
       rng(cfg.seed), currentLr(cfg.sgd.learningRate)
 {
-    Rng initRng(cfg.seed ^ 0xbeef);
-    nn::Model proto = nn::buildModel(cfg.modelFamily, bundle.spec,
-                                     initRng);
-    if (initial)
-        proto.setFlatParams(*initial);
+    nn::Model proto = core::buildInitialModel(
+        cfg.modelFamily, bundle.spec, cfg.seed, initial);
     globalWeights = proto.flatParams();
 
     // Static client shards (federated data does not shuffle across
@@ -156,10 +141,7 @@ FedAvgTrainer::runEpoch()
         rec.simSeconds * static_cast<double>(cfg.numSocs);
     const double busySocSeconds =
         cpuSocSeconds + cachedSyncS * static_cast<double>(cfg.numSocs);
-    if (totalSocSeconds > busySocSeconds) {
-        meter.accumulate(sim::PowerState::Idle,
-                         totalSocSeconds - busySocSeconds);
-    }
+    meter.fillIdle(totalSocSeconds, busySocSeconds);
     rec.energyJoules = meter.totalJoules();
     rec.trainLoss = sampleSum ? lossSum / sampleSum : 0.0;
     rec.trainAcc = sampleSum ? accSum / sampleSum : 0.0;
@@ -172,21 +154,7 @@ FedAvgTrainer::testAccuracy()
 {
     nn::Model &m = clients.front()->model;
     m.setFlatParams(globalWeights);
-    const auto &test = bundle.test;
-    const std::size_t chunk = 256;
-    std::size_t correct = 0;
-    for (std::size_t start = 0; start < test.size(); start += chunk) {
-        std::vector<std::size_t> idx;
-        for (std::size_t i = start;
-             i < std::min(test.size(), start + chunk); ++i)
-            idx.push_back(i);
-        auto [x, y] = test.batch(idx);
-        nn::StepResult r = m.evaluate(x, y);
-        correct += static_cast<std::size_t>(
-            std::lround(r.accuracy * static_cast<double>(r.samples)));
-    }
-    return static_cast<double>(correct) /
-           static_cast<double>(test.size());
+    return core::testAccuracy(m, bundle.test);
 }
 
 } // namespace baselines

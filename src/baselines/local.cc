@@ -1,8 +1,5 @@
 #include "baselines/local.hh"
 
-#include <algorithm>
-#include <cmath>
-
 #include "baselines/exact_sync.hh"
 #include "baselines/fedavg.hh"
 #include "baselines/ssp.hh"
@@ -13,28 +10,15 @@
 namespace socflow {
 namespace baselines {
 
-namespace {
-
-nn::Model
-buildInitialModel(const BaselineConfig &cfg, const data::DataBundle &b,
-                  const std::vector<float> *initial)
-{
-    Rng init_rng(cfg.seed ^ 0xbeef);
-    nn::Model m = nn::buildModel(cfg.modelFamily, b.spec, init_rng);
-    if (initial)
-        m.setFlatParams(*initial);
-    return m;
-}
-
-} // namespace
-
 LocalTrainer::LocalTrainer(BaselineConfig config,
                            const data::DataBundle &bundle_in,
                            sim::Device device_in,
                            const std::vector<float> *initial)
     : cfg(std::move(config)), bundle(bundle_in),
       profile(sim::modelProfile(cfg.modelFamily)), device(device_in),
-      compute(), model(buildInitialModel(cfg, bundle_in, initial)),
+      compute(),
+      model(core::buildInitialModel(cfg.modelFamily, bundle_in.spec,
+                                    cfg.seed, initial)),
       rng(cfg.seed)
 {
     if (device == sim::Device::SocNpu) {
@@ -121,32 +105,18 @@ LocalTrainer::runEpoch()
 double
 LocalTrainer::testAccuracy()
 {
-    const auto &test = bundle.test;
-    const std::size_t chunk = 256;
-    std::size_t correct = 0;
-    for (std::size_t start = 0; start < test.size(); start += chunk) {
-        std::vector<std::size_t> idx;
-        for (std::size_t i = start;
-             i < std::min(test.size(), start + chunk); ++i)
-            idx.push_back(i);
-        auto [x, y] = test.batch(idx);
-        nn::StepResult r;
-        if (int8) {
-            // Evaluate under quantized weights (what the NPU serves).
-            tensor::Tensor logits = int8->logits(x);
-            const auto preds = tensor::argmaxRows(logits);
+    if (!int8)
+        return core::testAccuracy(model, bundle.test);
+    // Evaluate under quantized weights (what the NPU serves).
+    return core::chunkedAccuracy(
+        bundle.test,
+        [this](const tensor::Tensor &x, const std::vector<int> &y) {
+            const auto preds = tensor::argmaxRows(int8->logits(x));
             std::size_t ok = 0;
             for (std::size_t i = 0; i < y.size(); ++i)
                 ok += preds[i] == y[i] ? 1 : 0;
-            correct += ok;
-            continue;
-        }
-        r = model.evaluate(x, y);
-        correct += static_cast<std::size_t>(
-            std::lround(r.accuracy * static_cast<double>(r.samples)));
-    }
-    return static_cast<double>(correct) /
-           static_cast<double>(test.size());
+            return ok;
+        });
 }
 
 std::unique_ptr<core::DistTrainer>

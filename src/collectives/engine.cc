@@ -189,16 +189,7 @@ CommStats
 CollectiveEngine::paramServer(const std::vector<sim::SocId> &workers,
                               sim::SocId server, double bytes) const
 {
-    return paramServerDetailed(workers, server, bytes).stats;
-}
-
-PsExchange
-CollectiveEngine::paramServerDetailed(
-    const std::vector<sim::SocId> &workers, sim::SocId server,
-    double bytes) const
-{
-    return shardedParamServer(workers, {server}, {bytes}, {bytes},
-                              false);
+    return shardedParamServer(workers, {server}, {bytes}, {bytes}).stats;
 }
 
 PsExchange
@@ -557,7 +548,6 @@ CollectiveEngine::resumeFromChunk(
     if (n <= 1 || bytes <= 0.0)
         return out;
     const std::size_t totalRounds = 2 * (n - 1);
-    out.chunksTotal = n * totalRounds;
 
     if (out.survivors.size() == ring.size()) {
         // Nobody died after all: just finish the in-flight rounds.
@@ -572,7 +562,6 @@ CollectiveEngine::resumeFromChunk(
     // full envelope of ringAllReduceResilient).
     static obs::Counter &timeouts =
         obs::metrics().counter("collective_timeouts_total");
-    out.attempts = 2;
     out.retries = 1;
     out.degraded = true;
     out.stats.seconds += policy.timeoutS + policy.backoffBaseS;
@@ -607,7 +596,6 @@ CollectiveEngine::ringAllReduceChecked(
     const std::size_t n = ring.size();
     if (n <= 1 || bytes <= 0.0)
         return out;
-    out.chunksTotal = n * 2 * (n - 1);
     if (corrupt_chunks == 0)
         return out;
 
@@ -642,7 +630,6 @@ CollectiveEngine::ringAllReduceChecked(
                            policy.backoffMaxS);
     }
     out.retries = out.chunksRetransmitted;
-    out.attempts = 1 + out.retries;
 
     if (exhausted) {
         out.error = SyncError::CorruptRetryExhausted;
@@ -677,7 +664,6 @@ CollectiveEngine::ringAllReduceResilient(
         obs::metrics().counter("collective_degraded_total");
 
     double backoff = policy.backoffBaseS;
-    out.attempts = policy.maxRetries + 1;
     out.retries = policy.maxRetries;
     for (std::size_t a = 0; a <= policy.maxRetries; ++a) {
         out.stats.seconds += policy.timeoutS;
@@ -687,7 +673,7 @@ CollectiveEngine::ringAllReduceResilient(
                                policy.backoffMaxS);
         }
     }
-    timeouts.add(static_cast<double>(out.attempts));
+    timeouts.add(static_cast<double>(out.retries + 1));
     retries.add(static_cast<double>(out.retries));
     degradedOps.add(1.0);
 

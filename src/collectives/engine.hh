@@ -108,9 +108,8 @@ const char *syncErrorName(SyncError e);
 struct SyncOutcome {
     /** Total cost including timeouts, backoff, and the fallback. */
     CommStats stats;
-    /** Attempts made (1 when the first try succeeded). */
-    std::size_t attempts = 1;
-    /** Retries charged (attempts - 1 on the broken ring). */
+    /** Retries charged on the broken ring (0 when the first try
+     *  succeeded). */
     std::size_t retries = 0;
     /** True when the ring was shrunk to the survivor set. */
     bool degraded = false;
@@ -118,8 +117,6 @@ struct SyncOutcome {
     std::vector<sim::SocId> survivors;
 
     // Chunk-level accounting (zero for the coarse-grained paths).
-    /** CRC-tagged chunk transfers carried by the operation. */
-    std::size_t chunksTotal = 0;
     /** Chunk transfers re-run on the survivor ring after a crash. */
     std::size_t chunksResumed = 0;
     /** Chunks re-requested from the predecessor after a CRC miss. */
@@ -178,19 +175,11 @@ class CollectiveEngine
      * Parameter-server exchange: every worker pushes `bytes` to the
      * server, then pulls `bytes` back (two incast/outcast rounds).
      * The server SoC is excluded from the workers automatically.
-     * The stats of paramServerDetailed, i.e. shardedParamServer with
-     * a single endpoint (metrics record it as op=sharded_ps).
+     * The stats of shardedParamServer with a single endpoint
+     * (metrics record it as op=sharded_ps).
      */
     CommStats paramServer(const std::vector<sim::SocId> &workers,
                           sim::SocId server, double bytes) const;
-
-    /**
-     * Monolithic exchange with the per-endpoint flow breakdown (the
-     * single endpoint's fan-in and drain times) exposed.
-     */
-    PsExchange paramServerDetailed(
-        const std::vector<sim::SocId> &workers, sim::SocId server,
-        double bytes) const;
 
     /**
      * Sharded parameter-server exchange: every worker pushes

@@ -18,14 +18,6 @@ namespace core {
 
 namespace {
 
-sim::ClusterConfig
-makeClusterConfig(const SoCFlowConfig &cfg)
-{
-    sim::ClusterConfig c = cfg.clusterTemplate;
-    c.numSocs = cfg.numSocs;
-    return c;
-}
-
 /** Magic prefix of the in-memory checkpoint blob ("SFCKPT1\0"). */
 constexpr std::uint64_t kBlobMagic = 0x5346434b50543100ULL;
 
@@ -108,7 +100,8 @@ SoCFlowTrainer::SoCFlowTrainer(SoCFlowConfig config,
                                const std::vector<float> *initial)
     : cfg(std::move(config)), bundle(bundle_in),
       profile(sim::modelProfile(cfg.modelFamily)),
-      cluster(makeClusterConfig(cfg)), engine(cluster), compute(),
+      cluster(clusterFor(cfg.clusterTemplate, cfg.numSocs)),
+      engine(cluster), compute(),
       meter(), dvfs(cfg.numSocs, cfg.dvfs, cfg.seed ^ 0xdf5),
       fullMapping(mapGroups(cfg.numSocs, cluster.config().socsPerBoard,
                             cfg.numGroups, cfg.mapping)),
@@ -130,11 +123,8 @@ SoCFlowTrainer::bootGroups(const std::vector<float> *initial)
     pc.windowSize = cfg.phiWindow;
     detector = membership::PhiAccrualDetector(pc);
 
-    Rng initRng(cfg.seed ^ 0xbeef);
-    nn::Model proto =
-        nn::buildModel(cfg.modelFamily, bundle.spec, initRng);
-    if (initial)
-        proto.setFlatParams(*initial);
+    const nn::Model proto = buildInitialModel(cfg.modelFamily, bundle.spec,
+                                              cfg.seed, initial);
 
     mapping = fullMapping;
     plan = planCommGroups(
@@ -437,10 +427,7 @@ SoCFlowTrainer::runEpoch()
             rec.simSeconds * static_cast<double>(cfg.numSocs);
         const double busySocSeconds =
             ep.cpuSocS + ep.npuSocS + ep.commSocS;
-        if (totalSocSeconds > busySocSeconds) {
-            meter.accumulate(sim::PowerState::Idle,
-                             totalSocSeconds - busySocSeconds);
-        }
+        meter.fillIdle(totalSocSeconds, busySocSeconds);
 
         // Close the epoch on the fault clock: the checkpoint phase
         // plus any stragglers scheduled past the actual step count
@@ -1019,22 +1006,7 @@ SoCFlowTrainer::closeEpoch(EpochRun &ep, EpochRecord &rec)
 double
 SoCFlowTrainer::testAccuracy()
 {
-    GroupState &g = *groups.front();
-    const auto &test = bundle.test;
-    const std::size_t chunk = 256;
-    std::size_t correct = 0;
-    for (std::size_t start = 0; start < test.size(); start += chunk) {
-        std::vector<std::size_t> idx;
-        for (std::size_t i = start;
-             i < std::min(test.size(), start + chunk); ++i)
-            idx.push_back(i);
-        auto [x, y] = test.batch(idx);
-        nn::StepResult r = g.fp32.evaluate(x, y);
-        correct += static_cast<std::size_t>(
-            std::lround(r.accuracy * static_cast<double>(r.samples)));
-    }
-    return static_cast<double>(correct) /
-           static_cast<double>(test.size());
+    return core::testAccuracy(groups.front()->fp32, bundle.test);
 }
 
 void

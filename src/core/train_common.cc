@@ -1,6 +1,7 @@
 #include "core/train_common.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -72,6 +73,54 @@ TrainResult::reached(double target) const
         if (e.testAcc >= target)
             return true;
     return false;
+}
+
+nn::Model
+buildInitialModel(const std::string &family, const nn::NetSpec &spec,
+                  std::uint64_t seed, const std::vector<float> *initial)
+{
+    Rng init_rng(seed ^ 0xbeef);
+    nn::Model m = nn::buildModel(family, spec, init_rng);
+    if (initial)
+        m.setFlatParams(*initial);
+    return m;
+}
+
+sim::ClusterConfig
+clusterFor(const sim::ClusterConfig &cluster_template,
+           std::size_t num_socs)
+{
+    sim::ClusterConfig c = cluster_template;
+    c.numSocs = num_socs;
+    return c;
+}
+
+double
+chunkedAccuracy(const data::Dataset &test, const CorrectCounter &correct)
+{
+    const std::size_t chunk = 256;
+    std::size_t right = 0;
+    for (std::size_t start = 0; start < test.size(); start += chunk) {
+        std::vector<std::size_t> idx;
+        for (std::size_t i = start;
+             i < std::min(test.size(), start + chunk); ++i)
+            idx.push_back(i);
+        auto [x, y] = test.batch(idx);
+        right += correct(x, y);
+    }
+    return static_cast<double>(right) /
+           static_cast<double>(test.size());
+}
+
+double
+testAccuracy(nn::Model &model, const data::Dataset &test)
+{
+    return chunkedAccuracy(
+        test, [&model](const tensor::Tensor &x, const std::vector<int> &y) {
+            const nn::StepResult r = model.evaluate(x, y);
+            return static_cast<std::size_t>(
+                std::lround(r.accuracy * static_cast<double>(r.samples)));
+        });
 }
 
 TrainResult

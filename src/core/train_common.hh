@@ -1,21 +1,37 @@
 /**
  * @file
- * Common result types and the convergence loop shared by SoCFlow and
- * every baseline trainer.
+ * Common result types, the training scaffold and the convergence loop
+ * shared by SoCFlow and every baseline trainer.
  *
  * Each trainer advances one *epoch* of real SGD math per call and
  * reports the simulated wall-clock/energy that epoch would cost on
  * the SoC-Cluster (or GPU). The driver loop runs until a target test
  * accuracy or an epoch cap, mirroring the paper's time-to-accuracy
  * methodology.
+ *
+ * The scaffold every trainer builds on, so that all methods start
+ * from the same weights and are scored the same way:
+ *  - buildInitialModel(): the seeded initial model (or handed-in
+ *    weights, e.g. for transfer learning);
+ *  - clusterFor(): the cluster template sized to the run's SoCs;
+ *  - testAccuracy() / chunkedAccuracy(): held-out accuracy,
+ *    evaluated 256 samples at a time;
+ *  - sim::EnergyMeter::fillIdle() (sim/energy.hh): idle energy for
+ *    the SoC-seconds an epoch left unused.
  */
 
 #ifndef SOCFLOW_CORE_TRAIN_COMMON_HH
 #define SOCFLOW_CORE_TRAIN_COMMON_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
+
+#include "data/dataset.hh"
+#include "nn/zoo.hh"
+#include "sim/cluster.hh"
 
 namespace socflow {
 namespace core {
@@ -101,6 +117,33 @@ class DistTrainer
     /** Method name for reports ("PS", "RING", "Ours", ...). */
     virtual std::string methodName() const = 0;
 };
+
+/**
+ * The model every trainer starts from: `family` initialized from
+ * an Rng derived from `seed`, then overwritten with `*initial` when
+ * given.
+ */
+nn::Model buildInitialModel(const std::string &family,
+                            const nn::NetSpec &spec, std::uint64_t seed,
+                            const std::vector<float> *initial);
+
+/** `cluster_template` sized to `num_socs` SoCs. */
+sim::ClusterConfig clusterFor(const sim::ClusterConfig &cluster_template,
+                              std::size_t num_socs);
+
+/** Correct answers among one chunk of test samples. */
+using CorrectCounter = std::function<std::size_t(
+    const tensor::Tensor &x, const std::vector<int> &y)>;
+
+/**
+ * Fraction of `test` answered correctly, gathered 256 samples at a
+ * time; `correct` scores each chunk.
+ */
+double chunkedAccuracy(const data::Dataset &test,
+                       const CorrectCounter &correct);
+
+/** Fraction of `test` that `model` classifies correctly. */
+double testAccuracy(nn::Model &model, const data::Dataset &test);
 
 /**
  * Drive a trainer until `target_acc` is reached (checked every

@@ -14,25 +14,6 @@ namespace ps {
 
 namespace {
 
-sim::ClusterConfig
-clusterFor(const ShardedPsConfig &cfg)
-{
-    sim::ClusterConfig c = cfg.clusterTemplate;
-    c.numSocs = cfg.numSocs;
-    return c;
-}
-
-nn::Model
-buildInitial(const ShardedPsConfig &cfg, const data::DataBundle &b,
-             const std::vector<float> *initial)
-{
-    Rng init_rng(cfg.seed ^ 0xbeef);
-    nn::Model m = nn::buildModel(cfg.modelFamily, b.spec, init_rng);
-    if (initial)
-        m.setFlatParams(*initial);
-    return m;
-}
-
 /** Hot-path counters, cached once. */
 struct PsMetrics {
     obs::Counter &pushes;
@@ -77,8 +58,10 @@ ShardedPsTrainer::ShardedPsTrainer(ShardedPsConfig config,
                                    const std::vector<float> *initial)
     : cfg(std::move(config)), bundle(bundle_in),
       profile(sim::modelProfile(cfg.modelFamily)),
-      cluster(clusterFor(cfg)), engine(cluster),
-      model(buildInitial(cfg, bundle_in, initial)),
+      cluster(core::clusterFor(cfg.clusterTemplate, cfg.numSocs)),
+      engine(cluster),
+      model(core::buildInitialModel(cfg.modelFamily, bundle_in.spec,
+                                    cfg.seed, initial)),
       map(ShardMapConfig{cfg.numShards, model.paramCount(),
                          cfg.numSocs,
                          cluster.config().socsPerBoard}),
@@ -657,8 +640,7 @@ ShardedPsTrainer::runEpoch()
         rec.simSeconds * static_cast<double>(cfg.numSocs);
     const double busy = (computeS + syncS) *
                         static_cast<double>(nActive);
-    if (totalSocSeconds > busy)
-        meter.accumulate(sim::PowerState::Idle, totalSocSeconds - busy);
+    meter.fillIdle(totalSocSeconds, busy);
     rec.energyJoules = meter.totalJoules();
     rec.trainLoss = sampleSum ? lossSum / sampleSum : 0.0;
     rec.trainAcc = sampleSum ? accSum / sampleSum : 0.0;
@@ -700,21 +682,7 @@ double
 ShardedPsTrainer::testAccuracy()
 {
     model.setFlatParams(global);
-    const auto &test = bundle.test;
-    const std::size_t chunk = 256;
-    std::size_t correct = 0;
-    for (std::size_t start = 0; start < test.size(); start += chunk) {
-        std::vector<std::size_t> idx;
-        for (std::size_t i = start;
-             i < std::min(test.size(), start + chunk); ++i)
-            idx.push_back(i);
-        auto [x, y] = test.batch(idx);
-        const nn::StepResult r = model.evaluate(x, y);
-        correct += static_cast<std::size_t>(
-            std::lround(r.accuracy * static_cast<double>(r.samples)));
-    }
-    return static_cast<double>(correct) /
-           static_cast<double>(test.size());
+    return core::testAccuracy(model, bundle.test);
 }
 
 } // namespace ps

@@ -57,6 +57,13 @@ EnergyMeter::accumulate(PowerState state, double seconds,
     total += joules;
 }
 
+void
+EnergyMeter::fillIdle(double total_soc_seconds, double busy_soc_seconds)
+{
+    if (total_soc_seconds > busy_soc_seconds)
+        accumulate(PowerState::Idle, total_soc_seconds - busy_soc_seconds);
+}
+
 double
 EnergyMeter::joules(PowerState state) const
 {

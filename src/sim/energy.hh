@@ -46,6 +46,13 @@ class EnergyMeter
                     std::size_t count = 1,
                     Device gpu = Device::GpuV100);
 
+    /**
+     * Account the SoC-seconds of `total_soc_seconds` that
+     * `busy_soc_seconds` left unused as Idle (nothing when busy
+     * covers the total).
+     */
+    void fillIdle(double total_soc_seconds, double busy_soc_seconds);
+
     /** Total accumulated energy, joules. */
     double totalJoules() const { return total; }
 

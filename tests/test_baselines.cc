@@ -2,7 +2,7 @@
  * @file
  * Baseline trainer tests: learning progress, relative timing
  * ordering (PS vs RING vs HiPress), FedAvg semantics, local/GPU
- * devices, and the factory.
+ * devices, the factory, and per-trainer numeric pins.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,10 @@
 #include "baselines/exact_sync.hh"
 #include "baselines/fedavg.hh"
 #include "baselines/local.hh"
+#include "core/socflow_trainer.hh"
 #include "data/synthetic.hh"
+#include "ps/sharded_ps.hh"
+#include "util/hash.hh"
 
 using namespace socflow;
 using namespace socflow::baselines;
@@ -226,4 +229,116 @@ TEST(Local, TransferLearningHandoff)
     LocalTrainer warm(cfg, bundle, sim::Device::SocCpu, &w);
     LocalTrainer cold(cfg, bundle, sim::Device::SocCpu);
     EXPECT_GT(warm.testAccuracy(), cold.testAccuracy());
+}
+
+// ------------------------------------------------------------- pins
+//
+// Every trainer's numerics, pinned (the baselines and SoCFlow): two epochs on the tiny bundle,
+// one FNV-1a digest over the bit patterns of every EpochRecord field
+// and of testAccuracy() after each epoch. A refactor of the shared
+// training scaffold (model init, cluster sizing, test accuracy, idle
+// energy) must leave each digest unchanged; a 1-ulp change to any
+// trainer's loss or energy fails its row.
+
+namespace {
+
+void
+mixRecord(Fnv1a64 &h, const core::EpochRecord &r)
+{
+    h.mix(static_cast<std::uint64_t>(r.epoch));
+    h.mix(r.simSeconds);
+    h.mix(r.energyJoules);
+    h.mix(r.computeSeconds);
+    h.mix(r.syncSeconds);
+    h.mix(r.updateSeconds);
+    h.mix(r.trainLoss);
+    h.mix(r.trainAcc);
+    h.mix(r.testAcc);
+    h.mix(static_cast<std::uint64_t>(r.crashes));
+    h.mix(r.recoverySeconds);
+    h.mix(static_cast<std::uint64_t>(r.waveResumes));
+    h.mix(static_cast<std::uint64_t>(r.leaderElections));
+    h.mix(static_cast<std::uint64_t>(r.gradCorruptDetected));
+    h.mix(static_cast<std::uint64_t>(r.chunksRetransmitted));
+    h.mix(static_cast<std::uint64_t>(r.syncFailures));
+    h.mix(static_cast<std::uint64_t>(r.partitions));
+    h.mix(static_cast<std::uint64_t>(r.rejoins));
+    h.mix(static_cast<std::uint64_t>(r.fencedStaleMsgs));
+    h.mix(static_cast<std::uint64_t>(r.paused));
+    h.mix(static_cast<std::uint64_t>(r.powerLost));
+}
+
+std::uint64_t
+twoEpochDigest(core::DistTrainer &trainer)
+{
+    Fnv1a64 h;
+    for (std::size_t e = 0; e < 2; ++e) {
+        core::EpochRecord rec = trainer.runEpoch();
+        rec.epoch = e;
+        rec.testAcc = trainer.testAccuracy();
+        mixRecord(h, rec);
+    }
+    return h.value();
+}
+
+std::unique_ptr<core::DistTrainer>
+makePinned(const std::string &method, const data::DataBundle &bundle)
+{
+    if (method == "Ours") {
+        core::SoCFlowConfig cfg;
+        cfg.modelFamily = "mlp";
+        cfg.numSocs = 8;
+        cfg.numGroups = 4;
+        cfg.groupBatch = 16;
+        cfg.sgd.learningRate = 0.05;
+        return std::make_unique<core::SoCFlowTrainer>(cfg, bundle);
+    }
+    if (method == "ShardedPs") {
+        ps::ShardedPsConfig cfg;
+        cfg.modelFamily = "mlp";
+        cfg.numSocs = 8;
+        cfg.numShards = 2;
+        cfg.staleness = 2;
+        cfg.globalBatch = 16;
+        cfg.sgd.learningRate = 0.05;
+        return std::make_unique<ps::ShardedPsTrainer>(cfg, bundle);
+    }
+    BaselineConfig cfg = tinyConfig();
+    cfg.sspStaleness = 4;
+    return makeBaseline(method, cfg, bundle);
+}
+
+struct TrainerPin {
+    const char *method;
+    std::uint64_t digest;
+};
+
+const TrainerPin kTrainerPins[] = {
+    {"PS", 0x21e9f070f4ebd0c6ULL},
+    {"RING", 0x9d575e72e54c6922ULL},
+    {"HiPress", 0x0b6dbcb44668bdd7ULL},
+    {"2D-Paral", 0xccf3d40ae6c5a70aULL},
+    {"FedAvg", 0x2c97fc4024c161e0ULL},
+    {"T-FedAvg", 0x0a86c3f68b873994ULL},
+    {"Local-CPU", 0x66d280cb8eaaa226ULL},
+    {"Local-NPU", 0x4d49c12a4a96fb4eULL},
+    {"V100", 0xa23dca50a4d0ffbeULL},
+    {"A100", 0x513460c18dfceb82ULL},
+    {"SSP", 0x247267e54ba57181ULL},
+    {"ShardedPs", 0xa757f7670d8b425dULL},
+    {"Ours", 0x55e7b0e37508e54dULL},
+};
+
+} // namespace
+
+TEST(TrainerPins, TwoEpochDigestsUnchanged)
+{
+    const data::DataBundle bundle = tinyBundle();
+    for (const TrainerPin &pin : kTrainerPins) {
+        auto trainer = makePinned(pin.method, bundle);
+        const std::uint64_t got = twoEpochDigest(*trainer);
+        EXPECT_EQ(got, pin.digest)
+            << pin.method << ": two-epoch digest 0x" << std::hex << got
+            << " differs from the pin";
+    }
 }

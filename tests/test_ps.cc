@@ -196,10 +196,10 @@ TEST(PsFlowBreakdown, MonolithicIncastAnchorAndShardedRelief)
     EXPECT_GT(mono.seconds, 20.6 * 0.6);
     EXPECT_LT(mono.seconds, 20.6 * 1.4);
 
-    // The detailed single-endpoint breakdown is the *same* exchange:
+    // A single-endpoint sharded exchange is the *same* exchange:
     // bit-identical seconds, and the endpoint shows the full fan-in.
     const collectives::PsExchange detailed =
-        engine.paramServerDetailed(all, 0, vggBytes);
+        engine.shardedParamServer(all, {0}, {vggBytes}, {vggBytes});
     EXPECT_DOUBLE_EQ(detailed.stats.seconds, mono.seconds);
     EXPECT_DOUBLE_EQ(detailed.stats.wireBytes, mono.wireBytes);
     ASSERT_EQ(detailed.endpoints.size(), 1u);
