@@ -20,21 +20,70 @@
 using namespace socflow;
 using tensor::Tensor;
 
+/**
+ * GEMM shapes {m, k, n, trans_b, percent of A that is zero}: the
+ * squares, then the LeNet calls that dominate a harvest day's GEMM
+ * time. The dW calls multiply a ReLU-sparse grad_out (A) by a
+ * transposed im2col matrix.
+ */
+static void
+gemmShapes(benchmark::internal::Benchmark *b)
+{
+    b->ArgNames({"m", "k", "n", "tb", "zero%"});
+    for (long n : {32, 64, 128, 256})
+        b->Args({n, n, n, 0, 0});
+    b->Args({16, 150, 252, 0, 0});  // conv2 forward
+    b->Args({150, 16, 252, 0, 0});  // conv2 dX
+    b->Args({16, 252, 150, 1, 89}); // conv2 dW
+    b->Args({6, 144, 25, 1, 0});    // conv1 dW
+    b->Args({20, 144, 120, 1, 0});  // dense forward
+}
+
+/** Runs one gemmShapes entry through `run(a, trans_b, b, c)`. */
+template <typename Run>
+static void
+gemmBench(benchmark::State &state, Run run)
+{
+    const auto m = static_cast<std::size_t>(state.range(0));
+    const auto k = static_cast<std::size_t>(state.range(1));
+    const auto n = static_cast<std::size_t>(state.range(2));
+    const bool tb = state.range(3) != 0;
+    Rng rng(1);
+    Tensor a = Tensor::randn({m, k}, rng);
+    for (std::size_t i = 0; i < a.numel(); ++i)
+        if (rng.uniform() * 100.0 < static_cast<double>(state.range(4)))
+            a[i] = 0.0f;
+    Tensor b = Tensor::randn(tb ? tensor::Shape{n, k} : tensor::Shape{k, n},
+                             rng);
+    Tensor c({m, n});
+    for (auto _ : state) {
+        run(a, tb, b, c);
+        benchmark::DoNotOptimize(c.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
+}
+
+/** gemm() as the trainers call it: the widest kernel build the host has. */
 static void
 BM_Gemm(benchmark::State &state)
 {
-    const std::size_t n = static_cast<std::size_t>(state.range(0));
-    Rng rng(1);
-    Tensor a = Tensor::randn({n, n}, rng);
-    Tensor b = Tensor::randn({n, n}, rng);
-    Tensor c({n, n});
-    for (auto _ : state) {
-        tensor::gemm(a, false, b, false, c);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+    gemmBench(state, [](const Tensor &a, bool tb, const Tensor &b,
+                        Tensor &c) { tensor::gemm(a, false, b, tb, c); });
 }
-BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_Gemm)->Apply(gemmShapes);
+
+/** The same shapes on the baseline-ISA kernel build, for comparison. */
+static void
+BM_GemmBaseline(benchmark::State &state)
+{
+    gemmBench(state, [](const Tensor &a, bool tb, const Tensor &b,
+                        Tensor &c) {
+        tensor::detail::gemmWithIsa(tensor::detail::GemmIsa::Baseline, a,
+                                    false, b, tb, c, 0.0f);
+    });
+}
+BENCHMARK(BM_GemmBaseline)->Apply(gemmShapes);
 
 /**
  * 3x3, pad-1 conv shapes {channels, map side, batch}: the 12x12 sweep,

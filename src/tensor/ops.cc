@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
@@ -12,35 +13,92 @@ namespace tensor {
 namespace {
 
 /**
- * Inner kernel: C[m,n] += A[m,k] * B[k,n], contiguous row-major.
+ * One 64-row block of C[m,n] += A[m,k] * B[k,n], contiguous row-major:
+ * rows [i0, i1) of C stream every nonzero A[i,p] times row p of B.
  *
- * Row blocks of C are disjoint, and each output element accumulates
- * its k terms in the same (p-block, p) order no matter which thread
- * owns its row block, so fanning the row blocks across the pool is
- * bit-exact with the serial schedule at any thread count.
+ * Each output element accumulates its k terms in the same (p-block, p)
+ * order in every build of this loop, so the two wrappers below are
+ * bit-exact with each other: vectorising the j loop only changes how
+ * many independent `crow[j] += aval * brow[j]` run per instruction,
+ * never the rounding of one (FMA contraction would; see the
+ * -ffp-contract=off in this library's CMakeLists.txt).
  */
-void
-gemmNoTrans(const float *a, const float *b, float *c, std::size_t m,
-            std::size_t n, std::size_t k)
+[[gnu::always_inline]] inline void
+rowBlockBody(const float *a, const float *b, float *c, std::size_t n,
+             std::size_t k, std::size_t i0, std::size_t i1)
 {
     constexpr std::size_t block = 64;
-    const auto rowBlock = [&](std::size_t bi) {
-        const std::size_t i0 = bi * block;
-        const std::size_t i1 = std::min(m, i0 + block);
-        for (std::size_t p0 = 0; p0 < k; p0 += block) {
-            const std::size_t p1 = std::min(k, p0 + block);
-            for (std::size_t i = i0; i < i1; ++i) {
-                for (std::size_t p = p0; p < p1; ++p) {
-                    const float aval = a[i * k + p];
-                    if (aval == 0.0f)
-                        continue;
-                    const float *brow = b + p * n;
-                    float *crow = c + i * n;
-                    for (std::size_t j = 0; j < n; ++j)
-                        crow[j] += aval * brow[j];
-                }
+    for (std::size_t p0 = 0; p0 < k; p0 += block) {
+        const std::size_t p1 = std::min(k, p0 + block);
+        for (std::size_t i = i0; i < i1; ++i) {
+            for (std::size_t p = p0; p < p1; ++p) {
+                const float aval = a[i * k + p];
+                if (aval == 0.0f)
+                    continue;
+                const float *brow = b + p * n;
+                float *crow = c + i * n;
+                for (std::size_t j = 0; j < n; ++j)
+                    crow[j] += aval * brow[j];
             }
         }
+    }
+}
+
+using RowBlockFn = void (*)(const float *, const float *, float *,
+                            std::size_t, std::size_t, std::size_t,
+                            std::size_t);
+
+/** rowBlockBody at the compiler's baseline ISA (SSE2 on x86-64). */
+void
+rowBlockBaseline(const float *a, const float *b, float *c, std::size_t n,
+                 std::size_t k, std::size_t i0, std::size_t i1)
+{
+    rowBlockBody(a, b, c, n, k, i0, i1);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+/**
+ * rowBlockBody with 256-bit vectors. "avx2" only: GCC's "avx512f"
+ * (and "fma") would let the add contract into an FMA.
+ */
+[[gnu::target("avx2")]] void
+rowBlockAvx2(const float *a, const float *b, float *c, std::size_t n,
+             std::size_t k, std::size_t i0, std::size_t i1)
+{
+    rowBlockBody(a, b, c, n, k, i0, i1);
+}
+#endif
+
+RowBlockFn
+rowBlockFor(detail::GemmIsa isa)
+{
+    if (isa == detail::GemmIsa::Baseline)
+        return rowBlockBaseline;
+    SOCFLOW_ASSERT(isa == detail::gemmHostIsa(),
+                   "gemm kernel build not supported on this host");
+#if defined(__x86_64__) || defined(__i386__)
+    return rowBlockAvx2;
+#else
+    return rowBlockBaseline; // unreachable: the assert fired
+#endif
+}
+
+/**
+ * C[m,n] += A[m,k] * B[k,n] in 64-row blocks of C.
+ *
+ * Row blocks of C are disjoint, and each output element accumulates
+ * its k terms in the same order no matter which thread owns its row
+ * block, so fanning the row blocks across the pool is bit-exact with
+ * the serial schedule at any thread count.
+ */
+void
+gemmNoTrans(RowBlockFn rowBlock, const float *a, const float *b,
+            float *c, std::size_t m, std::size_t n, std::size_t k)
+{
+    constexpr std::size_t block = 64;
+    const auto runBlock = [&](std::size_t bi) {
+        const std::size_t i0 = bi * block;
+        rowBlock(a, b, c, n, k, i0, std::min(m, i0 + block));
     };
     const std::size_t iBlocks = (m + block - 1) / block;
     // Fan out only when the product is large enough to amortize the
@@ -49,29 +107,86 @@ gemmNoTrans(const float *a, const float *b, float *c, std::size_t m,
     ThreadPool &pool = globalThreadPool();
     if (iBlocks > 1 && m * n * k >= kParFlopMin && pool.size() > 1 &&
         !ThreadPool::inWorkerThread()) {
-        pool.parallelFor(iBlocks, rowBlock);
+        pool.parallelFor(iBlocks, runBlock);
     } else {
         for (std::size_t bi = 0; bi < iBlocks; ++bi)
-            rowBlock(bi);
+            runBlock(bi);
+    }
+}
+
+/**
+ * Per-thread buffer for one transposed operand: grown on demand, kept
+ * across calls and never zero-filled (the transpose writes every
+ * element it reads back).
+ */
+struct Scratch {
+    std::unique_ptr<float[]> data;
+    std::size_t capacity = 0;
+
+    float *
+    get(std::size_t n)
+    {
+        if (n > capacity) {
+            data.reset(new float[n]);
+            capacity = n;
+        }
+        return data.get();
+    }
+};
+
+/** dst[cols, rows] = src[rows, cols]^T, in 16x16 tiles. */
+void
+transposeInto(const float *src, std::size_t rows, std::size_t cols,
+              float *dst)
+{
+    constexpr std::size_t tile = 16;
+    for (std::size_t i0 = 0; i0 < rows; i0 += tile) {
+        const std::size_t i1 = std::min(rows, i0 + tile);
+        for (std::size_t j0 = 0; j0 < cols; j0 += tile) {
+            const std::size_t j1 = std::min(cols, j0 + tile);
+            for (std::size_t i = i0; i < i1; ++i)
+                for (std::size_t j = j0; j < j1; ++j)
+                    dst[j * rows + i] = src[i * cols + j];
+        }
     }
 }
 
 } // namespace
 
+namespace detail {
+
+GemmIsa
+gemmHostIsa()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    static const GemmIsa isa = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("avx2") ? GemmIsa::Avx2
+                                              : GemmIsa::Baseline;
+    }();
+    return isa;
+#else
+    return GemmIsa::Baseline;
+#endif
+}
+
 void
-gemm(const Tensor &a, bool trans_a, const Tensor &b, bool trans_b,
-     Tensor &c, float beta)
+gemmWithIsa(GemmIsa isa, const Tensor &a, bool trans_a, const Tensor &b,
+            bool trans_b, Tensor &c, float beta)
 {
     SOCFLOW_ASSERT(a.rank() == 2 && b.rank() == 2 && c.rank() == 2,
                    "gemm operands must be rank-2");
-    const std::size_t m = trans_a ? a.dim(1) : a.dim(0);
-    const std::size_t ka = trans_a ? a.dim(0) : a.dim(1);
-    const std::size_t kb = trans_b ? b.dim(1) : b.dim(0);
-    const std::size_t n = trans_b ? b.dim(0) : b.dim(1);
+    const std::size_t a0 = a.dim(0), a1 = a.dim(1);
+    const std::size_t b0 = b.dim(0), b1 = b.dim(1);
+    const std::size_t m = trans_a ? a1 : a0;
+    const std::size_t ka = trans_a ? a0 : a1;
+    const std::size_t kb = trans_b ? b1 : b0;
+    const std::size_t n = trans_b ? b0 : b1;
     SOCFLOW_ASSERT(ka == kb, "gemm inner dimensions mismatch: ", ka,
                    " vs ", kb);
     SOCFLOW_ASSERT(c.dim(0) == m && c.dim(1) == n,
                    "gemm output shape mismatch");
+    const RowBlockFn rowBlock = rowBlockFor(isa);
 
     if (beta == 0.0f) {
         c.zero();
@@ -81,24 +196,30 @@ gemm(const Tensor &a, bool trans_a, const Tensor &b, bool trans_b,
 
     // Materialize transposed operands once; simpler and faster than
     // strided inner loops for the sizes we use.
+    thread_local Scratch scratchA, scratchB;
     const float *pa = a.data();
     const float *pb = b.data();
-    std::vector<float> ta, tb;
     if (trans_a) {
-        ta.resize(m * ka);
-        for (std::size_t i = 0; i < a.dim(0); ++i)
-            for (std::size_t j = 0; j < a.dim(1); ++j)
-                ta[j * ka + i] = pa[i * a.dim(1) + j];
-        pa = ta.data();
+        float *ta = scratchA.get(a0 * a1);
+        transposeInto(pa, a0, a1, ta);
+        pa = ta;
     }
     if (trans_b) {
-        tb.resize(kb * n);
-        for (std::size_t i = 0; i < b.dim(0); ++i)
-            for (std::size_t j = 0; j < b.dim(1); ++j)
-                tb[j * n + i] = pb[i * b.dim(1) + j];
-        pb = tb.data();
+        float *tb = scratchB.get(b0 * b1);
+        transposeInto(pb, b0, b1, tb);
+        pb = tb;
     }
-    gemmNoTrans(pa, pb, c.data(), m, n, ka);
+    gemmNoTrans(rowBlock, pa, pb, c.data(), m, n, ka);
+}
+
+} // namespace detail
+
+void
+gemm(const Tensor &a, bool trans_a, const Tensor &b, bool trans_b,
+     Tensor &c, float beta)
+{
+    detail::gemmWithIsa(detail::gemmHostIsa(), a, trans_a, b, trans_b, c,
+                        beta);
 }
 
 void

@@ -2,9 +2,11 @@
  * @file
  * Dense linear-algebra and elementwise kernels.
  *
- * All kernels are plain single-threaded loops with a cache-blocked
- * GEMM; determinism matters more than peak FLOPs for a reproduction,
- * and the wall-clock of the simulated hardware comes from the compute
+ * All kernels are plain loops. GEMM is cache-blocked, fans its row
+ * blocks out over the pool and runs an AVX2 build of its loop where
+ * the CPU has one, bit-identical at any thread count and either ISA;
+ * determinism matters more than peak FLOPs for a reproduction, and
+ * the wall-clock of the simulated hardware comes from the compute
  * model, not from these kernels.
  */
 
@@ -26,6 +28,27 @@ namespace tensor {
  */
 void gemm(const Tensor &a, bool trans_a, const Tensor &b, bool trans_b,
           Tensor &c, float beta = 0.0f);
+
+namespace detail {
+
+/**
+ * Builds of gemm()'s row-streaming kernel. Both run the same loop in
+ * the same order and give bit-identical results; Avx2 runs it on
+ * 256-bit vectors and exists only on x86.
+ */
+enum class GemmIsa { Baseline, Avx2 };
+
+/** The build gemm() runs on this host: Avx2 when the CPU has it. */
+GemmIsa gemmHostIsa();
+
+/**
+ * gemm() with its kernel build pinned to `isa`, so a test can run
+ * both builds on one host. `isa` must be Baseline or gemmHostIsa().
+ */
+void gemmWithIsa(GemmIsa isa, const Tensor &a, bool trans_a,
+                 const Tensor &b, bool trans_b, Tensor &c, float beta);
+
+} // namespace detail
 
 /** y += alpha * x (flat, matching numel). */
 void axpy(float alpha, const Tensor &x, Tensor &y);

@@ -7,11 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "tensor/ops.hh"
 #include "tensor/tensor.hh"
 #include "util/rng.hh"
+#include "util/thread_pool.hh"
 
 using namespace socflow;
 using namespace socflow::tensor;
@@ -150,6 +156,198 @@ TEST(Gemm, MismatchPanics)
 {
     Tensor a({2, 3}), b({4, 5}), c({2, 5});
     EXPECT_DEATH(gemm(a, false, b, false, c), "inner");
+}
+
+// ------------------------------------------------- gemm differential
+
+namespace {
+
+/**
+ * The row-streaming GEMM with no dispatch, scratch or fan-out:
+ * per-element transposes into fresh vectors, then the 64x64-blocked
+ * `crow[j] += aval * brow[j]` loop with its zero skip, serially.
+ * Every kernel build of gemm() must reproduce it bit for bit.
+ */
+void
+referenceGemm(const Tensor &a, bool trans_a, const Tensor &b,
+              bool trans_b, Tensor &c, float beta)
+{
+    const std::size_t m = trans_a ? a.dim(1) : a.dim(0);
+    const std::size_t k = trans_a ? a.dim(0) : a.dim(1);
+    const std::size_t n = trans_b ? b.dim(0) : b.dim(1);
+    if (beta == 0.0f) {
+        c.zero();
+    } else if (beta != 1.0f) {
+        for (std::size_t i = 0; i < c.numel(); ++i)
+            c[i] *= beta;
+    }
+    const float *pa = a.data();
+    const float *pb = b.data();
+    std::vector<float> ta, tb;
+    if (trans_a) {
+        ta.resize(m * k);
+        for (std::size_t i = 0; i < a.dim(0); ++i)
+            for (std::size_t j = 0; j < a.dim(1); ++j)
+                ta[j * k + i] = pa[i * a.dim(1) + j];
+        pa = ta.data();
+    }
+    if (trans_b) {
+        tb.resize(k * n);
+        for (std::size_t i = 0; i < b.dim(0); ++i)
+            for (std::size_t j = 0; j < b.dim(1); ++j)
+                tb[j * n + i] = pb[i * b.dim(1) + j];
+        pb = tb.data();
+    }
+    float *pc = c.data();
+    constexpr std::size_t block = 64;
+    for (std::size_t i0 = 0; i0 < m; i0 += block) {
+        const std::size_t i1 = std::min(m, i0 + block);
+        for (std::size_t p0 = 0; p0 < k; p0 += block) {
+            const std::size_t p1 = std::min(k, p0 + block);
+            for (std::size_t i = i0; i < i1; ++i) {
+                for (std::size_t p = p0; p < p1; ++p) {
+                    const float aval = pa[i * k + p];
+                    if (aval == 0.0f)
+                        continue;
+                    const float *brow = pb + p * n;
+                    float *crow = pc + i * n;
+                    for (std::size_t j = 0; j < n; ++j)
+                        crow[j] += aval * brow[j];
+                }
+            }
+        }
+    }
+}
+
+/** Operand value mix for the differential cases. */
+enum class Fill {
+    Dense,      //!< gaussian
+    Sparse,     //!< ~85% zeros, a third of them -0.0 (ReLU'd grads)
+    NonFinite,  //!< sparse plus scattered inf, -inf and NaN
+};
+
+Tensor
+operand(Shape shape, Fill fill, Rng &rng)
+{
+    Tensor t = Tensor::randn(std::move(shape), rng);
+    if (fill == Fill::Dense)
+        return t;
+    const float special[] = {std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity(),
+                             std::numeric_limits<float>::quiet_NaN()};
+    for (std::size_t i = 0; i < t.numel(); ++i) {
+        const double u = rng.uniform();
+        if (u < 0.57)
+            t[i] = 0.0f;
+        else if (u < 0.85)
+            t[i] = -0.0f;
+        else if (fill == Fill::NonFinite && u < 0.88)
+            t[i] = special[rng.uniformInt(3)];
+    }
+    return t;
+}
+
+struct DiffCase {
+    std::size_t m, k, n;
+    Fill fillA, fillB;
+};
+
+/** Every case under every (trans_a, trans_b, beta); memcmp on C. */
+void
+expectBitExact(const DiffCase &dc, std::uint64_t seed)
+{
+    using detail::GemmIsa;
+    std::vector<GemmIsa> isas{GemmIsa::Baseline};
+    if (detail::gemmHostIsa() != GemmIsa::Baseline)
+        isas.push_back(detail::gemmHostIsa());
+    Rng rng(seed);
+    for (int t = 0; t < 4; ++t) {
+        const bool ta = t & 1, tb = t & 2;
+        const Tensor a = operand(ta ? Shape{dc.k, dc.m} : Shape{dc.m, dc.k},
+                                 dc.fillA, rng);
+        const Tensor b = operand(tb ? Shape{dc.n, dc.k} : Shape{dc.k, dc.n},
+                                 dc.fillB, rng);
+        // C starts with -0.0, which beta=1 keeps and beta=0.5 keeps
+        // signed: a skipped row must leave it bit for bit.
+        Tensor c0 = operand({dc.m, dc.n}, Fill::Sparse, rng);
+        for (float beta : {0.0f, 1.0f, 0.5f}) {
+            Tensor want = c0;
+            referenceGemm(a, ta, b, tb, want, beta);
+            std::vector<Tensor> got(isas.size() + 1, c0);
+            gemm(a, ta, b, tb, got[0], beta);
+            for (std::size_t v = 0; v < isas.size(); ++v)
+                detail::gemmWithIsa(isas[v], a, ta, b, tb, got[v + 1],
+                                    beta);
+            for (std::size_t v = 0; v < got.size(); ++v)
+                EXPECT_EQ(std::memcmp(got[v].data(), want.data(),
+                                      want.numel() * sizeof(float)),
+                          0)
+                    << "m=" << dc.m << " k=" << dc.k << " n=" << dc.n
+                    << " trans_a=" << ta << " trans_b=" << tb
+                    << " beta=" << beta
+                    << (v == 0 ? " gemm()" : " gemmWithIsa #")
+                    << (v == 0 ? "" : std::to_string(v - 1));
+        }
+    }
+}
+
+std::vector<DiffCase>
+diffCases()
+{
+    std::vector<DiffCase> cases;
+    // Edges: 1, around the 8-wide vector and the 64 row/p block.
+    for (std::size_t d : {1, 7, 9, 63, 65})
+        cases.push_back({d, 67 - d, d + 3, Fill::Dense, Fill::Dense});
+    // The census shapes: conv2 forward, dX, dW (sparse grad_out as A),
+    // conv1 dW and the dense layer's forward.
+    cases.push_back({16, 150, 252, Fill::Dense, Fill::Dense});
+    cases.push_back({150, 16, 252, Fill::Dense, Fill::Sparse});
+    cases.push_back({16, 252, 150, Fill::Sparse, Fill::Dense});
+    cases.push_back({6, 144, 25, Fill::Sparse, Fill::Dense});
+    cases.push_back({20, 144, 120, Fill::Dense, Fill::Dense});
+    // Non-finite values in either operand.
+    cases.push_back({33, 45, 29, Fill::NonFinite, Fill::Dense});
+    cases.push_back({33, 45, 29, Fill::Dense, Fill::NonFinite});
+    cases.push_back({70, 13, 90, Fill::NonFinite, Fill::NonFinite});
+    // Above kParFlopMin (2^20) with several 64-row blocks, so the
+    // row fan-out runs when the pool has workers.
+    cases.push_back({200, 100, 70, Fill::Sparse, Fill::Dense});
+    cases.push_back({130, 97, 131, Fill::Dense, Fill::NonFinite});
+    // Random shapes, mostly not multiples of 8 or 64.
+    Rng rng(0x9e33);
+    for (int r = 0; r < 12; ++r)
+        cases.push_back({1 + rng.uniformInt(140), 1 + rng.uniformInt(140),
+                         1 + rng.uniformInt(140),
+                         r % 3 == 0 ? Fill::Sparse : Fill::Dense,
+                         r % 4 == 1 ? Fill::NonFinite : Fill::Dense});
+    return cases;
+}
+
+} // namespace
+
+TEST(GemmDifferential, BitExactWithRowStreamingReference)
+{
+    const std::size_t saved = globalThreads();
+    const auto cases = diffCases();
+    for (std::size_t threads : {1, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        setGlobalThreads(threads);
+        for (std::size_t i = 0; i < cases.size(); ++i)
+            expectBitExact(cases[i], 1000 + i);
+    }
+    setGlobalThreads(saved);
+}
+
+TEST(GemmDifferential, HostIsaIsAvailableBuild)
+{
+    // gemm() runs the build gemmHostIsa() names; Baseline always runs.
+    const auto isa = detail::gemmHostIsa();
+#if defined(__x86_64__) || defined(__i386__)
+    EXPECT_EQ(isa == detail::GemmIsa::Avx2,
+              __builtin_cpu_supports("avx2") != 0);
+#else
+    EXPECT_EQ(isa, detail::GemmIsa::Baseline);
+#endif
 }
 
 // ----------------------------------------------------------- elementwise
