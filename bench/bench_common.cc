@@ -1,12 +1,14 @@
 #include "bench_common.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <sys/stat.h>
 
 #include "baselines/exact_sync.hh"
@@ -26,49 +28,189 @@ namespace bench {
 namespace {
 
 /**
- * Every setting the shared flags control. One function-local static,
- * constructed while the flags are parsed -- before the atexit writer
- * is registered -- so it outlives that writer. Empty paths mean the
- * output was not requested.
+ * The options of this process. A function-local static constructed
+ * by initBenchObservability before it registers the atexit writer,
+ * so it outlives that writer.
  */
-struct BenchOptions {
-    std::string traceOut, metricsOut, postmortemOut, benchJson, baseline;
-    std::string profileOut, metricsExportCmd;
-    std::size_t traceRotateMb = 0; //!< MiB; 0 = buffer-all export
-    std::size_t metricsInterval = 0;
-    bool smoke = false;
-    std::uint64_t seed = 42;
-    std::size_t racks = 1;
-    double coreGbps = 100.0;
-    double oversub = 1.0;
-    std::size_t psShards = 8;
-    std::size_t staleness = 4;
-    /** The streaming sink, when rotation was requested (leaked; its
-     *  flusher is joined by the atexit close below). */
-    obs::StreamingTraceSink *streamSink = nullptr;
-    obs::MetricSeriesWriter *seriesWriter = nullptr;
-};
-
 BenchOptions &
-opts()
+state()
 {
     static BenchOptions o;
     return o;
 }
 
+/** The streaming trace sink, when rotation was requested (leaked; its
+ *  flusher is joined by the atexit close below). */
+obs::StreamingTraceSink *streamSink = nullptr;
+
+/** One flag's value as given on the command line. */
+struct FlagValue {
+    const char *flag;
+    std::string text;
+
+    /**
+     * The value as a number no smaller than `min` (larger, when
+     * `open`). Integers take decimal digits only, so a sign, a
+     * fraction, an exponent or an out-of-range value is fatal rather
+     * than silently truncated or rounded.
+     */
+    template <typename T = std::size_t>
+    T
+    number(std::type_identity_t<T> min = {}, bool open = false) const
+    {
+        T v{};
+        bool ok = !text.empty();
+        if constexpr (std::is_integral_v<T>) {
+            ok = ok && std::all_of(text.begin(), text.end(), [](char c) {
+                     return c >= '0' && c <= '9';
+                 });
+            errno = 0;
+            v = ok ? std::strtoull(text.c_str(), nullptr, 10) : 0;
+            ok = ok && errno != ERANGE;
+        } else {
+            char *end = nullptr;
+            v = std::strtod(text.c_str(), &end);
+            ok = ok && *end == '\0';
+        }
+        if (!ok)
+            fatal("bad value for ", flag, ": '", text, "'");
+        if (open ? !(v > min) : !(v >= min))
+            fatal("bad value for ", flag, ": '", text, "' (must be ",
+                  open ? "> " : ">= ", min, ")");
+        return v;
+    }
+};
+
+/** One row of the flag table. */
+struct Flag {
+    const char *name;
+    const char *metavar;     //!< "" = a switch that takes no value
+    const char *defaultText;
+    const char *help;        //!< markdown, as the README shows it
+    void (*set)(BenchOptions &, const FlagValue &);
+};
+
+using O = BenchOptions;
+using V = FlagValue;
+
+/** Every shared flag, in README order. */
+const Flag kFlags[] = {
+    {"--trace-out", "<file>", "off",
+     "Chrome trace_event JSON of the run (simulated SoC-Cluster "
+     "timeline + host spans)",
+     [](O &o, const V &v) { o.traceOut = v.text; }},
+    {"--trace-rotate-mb", "<n>", "buffer",
+     "stream the trace through a rotating bounded sink "
+     "(`trace.0.json`, `trace.1.json`, …)",
+     [](O &o, const V &v) { o.traceRotateMb = v.number(); }},
+    {"--metrics-out", "<file>", "off",
+     "metrics registry dump (plain text, or NDJSON series with the "
+     "next flag)",
+     [](O &o, const V &v) { o.metricsOut = v.text; }},
+    {"--metrics-interval", "<n>", "final only",
+     "snapshot the metrics every n trained epochs as an NDJSON time "
+     "series",
+     [](O &o, const V &v) { o.metricsInterval = v.number(); }},
+    {"--postmortem-out", "<file>", "off",
+     "arm the crash flight recorder (`SOCFLOW_POSTMORTEM` env "
+     "equivalent)",
+     [](O &o, const V &v) { o.postmortemOut = v.text; }},
+    {"--postmortem-spans", "<n>", "256",
+     "size of the flight recorder's span ring "
+     "(`SOCFLOW_POSTMORTEM_SPANS`)",
+     [](O &o, const V &v) { o.postmortemSpans = v.number(1); }},
+    {"--threads", "<n>", "hw conc.",
+     "worker pool size for the parallel core (`SOCFLOW_THREADS`); "
+     "results are bit-exact across values",
+     [](O &o, const V &v) { o.threads = v.number(); }},
+    {"--seed", "<n>", "42",
+     "root seed for trainer/workload RNGs (fig10 and "
+     "bench_e2e_throughput honour it end to end)",
+     [](O &o, const V &v) { o.seed = v.number<std::uint64_t>(); }},
+    {"--smoke", "", "off",
+     "tiny workloads + one epoch; what the `bench_smoke_*` ctest tier "
+     "runs",
+     [](O &o, const V &) { o.smoke = true; }},
+    {"--racks", "<n>", "1",
+     "fleet topology: spread the SoCs across n racks (see Fleet runs)",
+     [](O &o, const V &v) { o.racks = v.number(1); }},
+    {"--core-gbps", "<g>", "100",
+     "aggregate inter-rack core bandwidth in Gbps",
+     [](O &o, const V &v) { o.coreGbps = v.number<double>(0, true); }},
+    {"--oversub", "<r>", "1.0",
+     "core oversubscription: rack uplink = switch bandwidth / r",
+     [](O &o, const V &v) { o.oversub = v.number<double>(1); }},
+    {"--ps-shards", "<n>", "8",
+     "sharded-PS mode: shard count; hosts are the first SoC of each of "
+     "the first min(n, boards) boards (DESIGN.md ch. 11)",
+     [](O &o, const V &v) { o.psShards = v.number(1); }},
+    {"--staleness", "<n>", "4",
+     "sharded-PS mode: hard staleness bound, enforced before compute; "
+     "0 = synchronous",
+     [](O &o, const V &v) { o.staleness = v.number(); }},
+    {"--profile-out", "<file>", "off",
+     "write the critical-path profiler's `PerfReport` JSON (phase "
+     "decomposition, overlap ratio, bottleneck attribution); the "
+     "perf-doctor summary always prints at exit, `SOCFLOW_PROFILE=0` "
+     "disables profiling entirely (DESIGN.md ch. 12)",
+     [](O &o, const V &v) { o.profileOut = v.text; }},
+    {"--bench-json", "<file>", "off",
+     "machine-readable `BENCH_*.json` report (bench_e2e_throughput)",
+     [](O &o, const V &v) { o.benchJson = v.text; }},
+    {"--baseline", "<file>", "off",
+     "compare against a committed `BENCH_*.json`; exit non-zero on a "
+     ">10% epochs/sec regression at the single-rack anchor or on any "
+     "labeled row the baseline also has",
+     [](O &o, const V &v) { o.baseline = v.text; }},
+    {"--sync-timeout", "<s>", "0.5",
+     "per-attempt collective timeout (the `SyncPolicy` envelope)",
+     [](O &o, const V &v) { o.sync.timeoutS = v.number<double>(); }},
+    {"--sync-retries", "<n>", "3",
+     "collective retry budget before degrading to the survivor ring",
+     [](O &o, const V &v) { o.sync.maxRetries = v.number(); }},
+    {"--sync-backoff-base", "<s>", "0.05",
+     "first retry backoff (doubles per attempt)",
+     [](O &o, const V &v) { o.sync.backoffBaseS = v.number<double>(); }},
+    {"--sync-backoff-max", "<s>", "1.0", "backoff cap",
+     [](O &o, const V &v) { o.sync.backoffMaxS = v.number<double>(); }},
+    {"--ckpt-retries", "<n>", "3", "checkpoint-write retry budget",
+     [](O &o, const V &v) { o.checkpointMaxRetries = v.number(); }},
+    {"--ckpt-backoff", "<s>", "2.0",
+     "first checkpoint rewrite backoff (doubles per retry)",
+     [](O &o, const V &v) { o.checkpointBackoffS = v.number<double>(); }},
+    {"--ckpt-replicas", "<k>", "0",
+     "replicated checkpoint store: copies spread across failure "
+     "domains (rack first, then board); `k >= 2` makes an acked "
+     "checkpoint survive the loss of any single rack, enabling "
+     "whole-fleet crash-restart after a `RackPowerLoss` (DESIGN.md "
+     "ch. 13); 0 = legacy single-copy path",
+     [](O &o, const V &v) { o.ckptReplicas = v.number(); }},
+    {"--ckpt-interval", "<epochs>", "0",
+     "epochs between durable replicated writes — the RPO bound on lost "
+     "work after a fleet restart; ignored while `--ckpt-replicas` is 0",
+     [](O &o, const V &v) { o.ckptIntervalEpochs = v.number(); }},
+    {"--phi-threshold", "<p>", "8.0",
+     "phi-accrual suspicion level that confirms a failure (8 ⇒ ~10⁻⁸ "
+     "false-positive)",
+     [](O &o, const V &v) { o.phiThreshold = v.number<double>(); }},
+    {"--phi-window", "<n>", "32",
+     "heartbeat sliding-window size of the failure detector",
+     [](O &o, const V &v) { o.phiWindow = v.number(); }},
+};
+
 void
 writeObservabilityOutputs()
 {
-    const std::string &trace = opts().traceOut;
-    if (obs::StreamingTraceSink *sink = opts().streamSink) {
+    const std::string &trace = options().traceOut;
+    if (streamSink) {
         // Streamed mode: the trace is already on disk; detach so late
         // events don't race the drain, then flush the final segment.
         obs::tracer().setStreamSink(nullptr);
-        sink->close();
+        streamSink->close();
         std::fprintf(stderr,
                      "trace streamed to %s (%zu segments, %zu events)\n",
-                     trace.c_str(), sink->segmentsWritten(),
-                     sink->eventsWritten());
+                     trace.c_str(), streamSink->segmentsWritten(),
+                     streamSink->eventsWritten());
     } else if (!trace.empty()) {
         if (obs::tracer().writeChromeTrace(trace)) {
             std::fprintf(stderr, "trace written to %s (%zu events)\n",
@@ -78,40 +220,11 @@ writeObservabilityOutputs()
                          trace.c_str());
         }
     }
-    const std::string &metricsPath = opts().metricsOut;
-    if (obs::MetricSeriesWriter *w = opts().seriesWriter) {
+    const std::string &metricsPath = options().metricsOut;
+    if (obs::MetricSeriesWriter *w = options().metricSeries) {
         // Series mode: the NDJSON lines are the output; no text dump.
         std::fprintf(stderr, "metric series written to %s (%zu lines)\n",
                      metricsPath.c_str(), w->snapshotsWritten());
-        // --metrics-export-cmd: pipe the NDJSON series lines to a
-        // user command (remote export hook). Best-effort: a failing
-        // command is reported, never fatal, because the series file
-        // on disk is already the durable output.
-        const std::string &cmd = opts().metricsExportCmd;
-        if (!cmd.empty()) {
-            std::ifstream series(metricsPath);
-            FILE *pipe = series ? popen(cmd.c_str(), "w") : nullptr;
-            if (!pipe) {
-                std::fprintf(stderr,
-                             "metrics export: failed to run '%s'\n",
-                             cmd.c_str());
-            } else {
-                std::string line;
-                std::size_t lines = 0;
-                bool ok = true;
-                while (ok && std::getline(series, line)) {
-                    line.push_back('\n');
-                    ok = std::fwrite(line.data(), 1, line.size(),
-                                     pipe) == line.size();
-                    ++lines;
-                }
-                const int rc = pclose(pipe);
-                std::fprintf(stderr,
-                             "metrics export: piped %zu lines to "
-                             "'%s' (exit %d)\n",
-                             lines, cmd.c_str(), rc);
-            }
-        }
     } else if (!metricsPath.empty()) {
         if (obs::metrics().writeTextDump(metricsPath)) {
             std::fprintf(stderr, "metrics written to %s\n",
@@ -128,7 +241,7 @@ writeObservabilityOutputs()
     if (prof.enabled() && prof.epochsProfiled() > 0) {
         const obs::PerfReport report = prof.report();
         std::fputs(report.doctorSummary().c_str(), stderr);
-        const std::string &profPath = opts().profileOut;
+        const std::string &profPath = options().profileOut;
         if (!profPath.empty()) {
             std::ofstream out(profPath);
             if (out && (out << report.toJson() << '\n')) {
@@ -143,274 +256,104 @@ writeObservabilityOutputs()
     }
 }
 
-/** Parse a non-negative real flag value (fatal on junk). */
-double
-parseNonNegative(const std::string &flag, const std::string &value)
-{
-    char *end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &end);
-    if (value.empty() || end == nullptr || *end != '\0' || parsed < 0.0)
-        fatal("bad value for ", flag, ": '", value, "'");
-    return parsed;
-}
-
-/**
- * Parse a non-negative integer flag value: decimal digits only, so a
- * sign, a fraction, an exponent or an out-of-range value is fatal
- * rather than silently truncated or rounded.
- */
-std::size_t
-parseCount(const std::string &flag, const std::string &value)
-{
-    const bool digits =
-        !value.empty() &&
-        std::all_of(value.begin(), value.end(),
-                    [](unsigned char c) { return std::isdigit(c); });
-    errno = 0;
-    const unsigned long long parsed =
-        digits ? std::strtoull(value.c_str(), nullptr, 10) : 0;
-    if (!digits || errno == ERANGE)
-        fatal("bad value for ", flag, ": '", value, "'");
-    return static_cast<std::size_t>(parsed);
-}
-
-/** Parse a positive real flag value (fatal on junk). */
-double
-parseReal(const std::string &flag, const std::string &value)
-{
-    char *end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &end);
-    if (value.empty() || end == nullptr || *end != '\0' || parsed <= 0.0)
-        fatal("bad value for ", flag, ": '", value, "'");
-    return parsed;
-}
-
-/**
- * Match argv[i] against `flag` in either the `--flag=value` or the
- * `--flag value` form. On a match the value is stored and i is left
- * on the last argument consumed; a trailing flag with no value is
- * fatal.
- */
-bool
-matchFlag(const char *flag, int argc, char **argv, int &i,
-          std::string &value)
-{
-    const std::string arg = argv[i];
-    const std::string prefix = std::string(flag) + "=";
-    if (arg.rfind(prefix, 0) == 0) {
-        value = arg.substr(prefix.size());
-        return true;
-    }
-    if (arg != flag)
-        return false;
-    if (i + 1 >= argc)
-        fatal(flag, " requires a value argument");
-    value = argv[++i];
-    return true;
-}
-
-/**
- * Remove from argv, in place, every argument `take(i)` claims (it may
- * advance i past a separate value); argv[0] and the order of the rest
- * are kept, and argv stays null-terminated.
- */
-template <typename Take>
-void
-compactArgs(int &argc, char **argv, Take &&take)
-{
-    int out = 1;
-    for (int i = 1; i < argc; ++i)
-        if (!take(i))
-            argv[out++] = argv[i];
-    argc = out;
-    argv[argc] = nullptr;
-}
-
 } // namespace
+
+BenchOptions
+parseBenchFlags(int &argc, char **argv)
+{
+    BenchOptions o;
+    int kept = 1;
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        const Flag *hit = nullptr;
+        std::string value;
+        for (const Flag &f : kFlags) {
+            const std::string_view name = f.name;
+            if (*f.metavar && arg == name) {
+                if (i + 1 >= argc)
+                    fatal(f.name, " requires a value argument");
+                value = argv[++i];
+            } else if (*f.metavar && arg.starts_with(name) &&
+                       arg[name.size()] == '=') {
+                value = arg.substr(name.size() + 1);
+            } else if (arg != name) {
+                continue;
+            }
+            hit = &f;
+            break;
+        }
+        if (!hit) {
+            argv[kept++] = argv[i];
+            continue;
+        }
+        if (*hit->metavar && value.empty())
+            fatal("bad value for ", hit->name, ": ''");
+        hit->set(o, FlagValue{hit->name, std::move(value)});
+    }
+    argc = kept;
+    argv[argc] = nullptr;
+    if (o.traceRotateMb > 0 && o.traceOut.empty())
+        fatal("--trace-rotate-mb requires --trace-out");
+    if (o.metricsInterval > 0 && o.metricsOut.empty())
+        fatal("--metrics-interval requires --metrics-out");
+    return o;
+}
 
 void
 initBenchObservability(int &argc, char **argv)
 {
-    std::string rotateMbValue;
-    std::string intervalValue;
-    std::string postmortemSpansValue;
-    std::string threadsValue;
-    std::string seedStr;
-    std::string racksStr;
-    std::string coreGbpsStr;
-    std::string oversubStr;
-    std::string psShardsStr;
-    std::string stalenessStr;
-    bool any = false;
-    compactArgs(argc, argv, [&](int &i) {
-        if (std::string(argv[i]) == "--smoke") {
-            opts().smoke = true;
-            return true;
+    BenchOptions &o = state();
+    o = parseBenchFlags(argc, argv);
+    if (o.threads > 0)
+        setGlobalThreads(o.threads);
+    if (o.postmortemSpans > 0)
+        obs::flightRecorder().setCapacity(o.postmortemSpans);
+    if (!o.postmortemOut.empty())
+        obs::armFlightRecorder(o.postmortemOut);
+    if (!o.traceOut.empty()) {
+        if (o.traceRotateMb > 0) {
+            obs::StreamSinkConfig scfg;
+            scfg.path = o.traceOut;
+            scfg.rotateBytes = o.traceRotateMb << 20;
+            streamSink = new obs::StreamingTraceSink(scfg);
+            obs::tracer().setStreamSink(streamSink);
         }
-        for (const auto &[flag, dest] :
-             {std::pair<const char *, std::string *>{
-                  "--trace-out", &opts().traceOut},
-              {"--metrics-out", &opts().metricsOut},
-              {"--postmortem-out", &opts().postmortemOut},
-              {"--trace-rotate-mb", &rotateMbValue},
-              {"--metrics-interval", &intervalValue},
-              {"--postmortem-spans", &postmortemSpansValue},
-              {"--threads", &threadsValue},
-              {"--seed", &seedStr},
-              {"--racks", &racksStr},
-              {"--core-gbps", &coreGbpsStr},
-              {"--oversub", &oversubStr},
-              {"--ps-shards", &psShardsStr},
-              {"--staleness", &stalenessStr},
-              {"--metrics-export-cmd", &opts().metricsExportCmd},
-              {"--bench-json", &opts().benchJson},
-              {"--baseline", &opts().baseline},
-              {"--profile-out", &opts().profileOut}}) {
-            std::string value;
-            if (!matchFlag(flag, argc, argv, i, value))
-                continue;
-            if (value.empty())
-                fatal("empty value for observability flag: ", flag);
-            *dest = value;
-            any = true;
-            return true;
-        }
-        return false;
-    });
-
-    if (!threadsValue.empty())
-        setGlobalThreads(parseCount("--threads", threadsValue));
-    if (!seedStr.empty())
-        opts().seed = parseCount("--seed", seedStr);
-    if (!racksStr.empty()) {
-        opts().racks = parseCount("--racks", racksStr);
-        if (opts().racks == 0)
-            fatal("--racks must be at least 1");
+        obs::tracer().setEnabled(true);
     }
-    if (!coreGbpsStr.empty())
-        opts().coreGbps = parseReal("--core-gbps", coreGbpsStr);
-    if (!oversubStr.empty()) {
-        opts().oversub = parseReal("--oversub", oversubStr);
-        if (opts().oversub < 1.0)
-            fatal("--oversub must be >= 1 (1 = non-blocking core)");
-    }
-    if (!psShardsStr.empty()) {
-        opts().psShards = parseCount("--ps-shards", psShardsStr);
-        if (opts().psShards == 0)
-            fatal("--ps-shards must be at least 1");
-    }
-    if (!stalenessStr.empty())
-        opts().staleness = parseCount("--staleness", stalenessStr);
+    if (o.metricsInterval > 0)
+        o.metricSeries = new obs::MetricSeriesWriter(o.metricsOut);
 
     // Registered for every bench/example, not only flagged runs: the
     // always-on profiler's doctor summary is part of the default
     // output contract (it prints only when epochs were profiled).
-    // Touch the registry singletons and the options first so their
-    // function-local statics are constructed -- and therefore
-    // destroyed -- strictly after this atexit handler runs.
-    opts();
+    // Touch the registry singletons first so their function-local
+    // statics are constructed -- and therefore destroyed -- strictly
+    // after this atexit handler runs.
     obs::metrics();
     obs::profiler();
     std::atexit(writeObservabilityOutputs);
-
-    if (!any)
-        return;
-    if (!rotateMbValue.empty())
-        opts().traceRotateMb = parseCount("--trace-rotate-mb", rotateMbValue);
-    if (!intervalValue.empty())
-        opts().metricsInterval =
-            parseCount("--metrics-interval", intervalValue);
-    if (opts().traceRotateMb > 0 && opts().traceOut.empty())
-        fatal("--trace-rotate-mb requires --trace-out");
-    if (opts().metricsInterval > 0 && opts().metricsOut.empty())
-        fatal("--metrics-interval requires --metrics-out");
-    if (!opts().metricsExportCmd.empty() &&
-        (opts().metricsOut.empty() || opts().metricsInterval == 0))
-        fatal("--metrics-export-cmd requires --metrics-out and "
-              "--metrics-interval (the NDJSON series is what gets "
-              "piped)");
-    if (!postmortemSpansValue.empty()) {
-        const std::size_t n =
-            parseCount("--postmortem-spans", postmortemSpansValue);
-        if (n == 0)
-            fatal("--postmortem-spans must be positive");
-        obs::flightRecorder().setCapacity(n);
-    }
-
-    if (!opts().postmortemOut.empty())
-        obs::armFlightRecorder(opts().postmortemOut);
-    if (!opts().traceOut.empty()) {
-        if (opts().traceRotateMb > 0) {
-            obs::StreamSinkConfig scfg;
-            scfg.path = opts().traceOut;
-            scfg.rotateBytes = opts().traceRotateMb << 20;
-            opts().streamSink = new obs::StreamingTraceSink(scfg);
-            obs::tracer().setStreamSink(opts().streamSink);
-        }
-        obs::tracer().setEnabled(true);
-    }
-    if (opts().metricsInterval > 0)
-        opts().seriesWriter = new obs::MetricSeriesWriter(opts().metricsOut);
 }
 
-std::size_t
-metricsInterval()
+const BenchOptions &
+options()
 {
-    return opts().metricsInterval;
+    return state();
 }
 
-obs::MetricSeriesWriter *
-metricSeries()
+std::string
+flagTableMarkdown()
 {
-    return opts().seriesWriter;
-}
-
-bool
-smokeMode()
-{
-    return opts().smoke;
-}
-
-std::uint64_t
-benchSeed()
-{
-    return opts().seed;
-}
-
-std::size_t
-benchRacks()
-{
-    return opts().racks;
-}
-
-double
-benchCoreGbps()
-{
-    return opts().coreGbps;
-}
-
-double
-benchOversub()
-{
-    return opts().oversub;
-}
-
-std::size_t
-benchPsShards()
-{
-    return opts().psShards;
-}
-
-std::size_t
-benchStaleness()
-{
-    return opts().staleness;
+    std::string md = "| flag | default | what it does |\n|---|---|---|\n";
+    for (const Flag &f : kFlags)
+        md += "| `" + std::string(f.name) + (*f.metavar ? " " : "") +
+              f.metavar + "` | " + f.defaultText + " | " + f.help + " |\n";
+    return md;
 }
 
 void
 applyFleetFlags(sim::ClusterConfig &cluster, std::size_t num_socs)
 {
-    const std::size_t racks = opts().racks;
+    const std::size_t racks = options().racks;
     if (racks <= 1)
         return;
     cluster.numRacks = racks;
@@ -419,20 +362,8 @@ applyFleetFlags(sim::ClusterConfig &cluster, std::size_t num_socs)
     const std::size_t numBoards =
         (num_socs + cluster.socsPerBoard - 1) / cluster.socsPerBoard;
     cluster.boardsPerRack = (numBoards + racks - 1) / racks;
-    cluster.coreBps = opts().coreGbps * 1e9;
-    cluster.coreOversub = opts().oversub;
-}
-
-const std::string &
-benchJsonPath()
-{
-    return opts().benchJson;
-}
-
-const std::string &
-benchBaselinePath()
-{
-    return opts().baseline;
+    cluster.coreBps = options().coreGbps * 1e9;
+    cluster.coreOversub = options().oversub;
 }
 
 bool
@@ -526,92 +457,44 @@ readBenchJson(const std::string &path, BenchReport &out)
         if (!jsonValueAfter(text, "threads", cursor, tok, cursor))
             break;
         r.threads = std::strtoull(tok.c_str(), nullptr, 10);
-        if (!jsonValueAfter(text, "wall_seconds", cursor, tok, cursor))
+        // A key belongs to this row when it precedes the next "threads".
+        std::size_t rowEnd = text.size();
+        std::string next;
+        jsonValueAfter(text, "threads", cursor, next, rowEnd);
+        const auto has = [&](const char *key) {
+            std::size_t at = 0;
+            return jsonValueAfter(text, key, cursor, tok, at) && at < rowEnd;
+        };
+        const auto real = [&] { return std::atof(tok.c_str()); };
+        if (!has("wall_seconds"))
             return false;
-        r.wallSeconds = std::atof(tok.c_str());
-        if (!jsonValueAfter(text, "epochs_trained", cursor, tok, cursor))
+        r.wallSeconds = real();
+        if (!has("epochs_trained"))
             return false;
         r.epochsTrained = std::strtoull(tok.c_str(), nullptr, 10);
-        if (!jsonValueAfter(text, "epochs_per_sec", cursor, tok, cursor))
+        if (!has("epochs_per_sec"))
             return false;
-        r.epochsPerSec = std::atof(tok.c_str());
-        if (!jsonValueAfter(text, "events_per_sec", cursor, tok, cursor))
+        r.epochsPerSec = real();
+        if (!has("events_per_sec"))
             return false;
-        r.eventsPerSec = std::atof(tok.c_str());
-        if (!jsonValueAfter(text, "timeline_hash", cursor, tok, cursor))
+        r.eventsPerSec = real();
+        if (!has("timeline_hash"))
             return false;
         r.timelineHash = std::strtoull(tok.c_str(), nullptr, 16);
-        // Optional per-run label (fleet rows): consume it only when
-        // it belongs to this row, i.e. precedes the next "threads".
-        std::string ltok, ntok;
-        std::size_t lat = 0, nat = 0;
-        if (jsonValueAfter(text, "label", cursor, ltok, lat) &&
-            (!jsonValueAfter(text, "threads", cursor, ntok, nat) ||
-             lat < nat)) {
-            r.label = ltok;
-            cursor = lat;
-        }
-        // Optional profiler phase columns, same row-scoped rule.
-        std::string ptok;
-        std::size_t pat = 0;
-        if (jsonValueAfter(text, "phase_compute_seconds", cursor, ptok,
-                           pat) &&
-            (!jsonValueAfter(text, "threads", cursor, ntok, nat) ||
-             pat < nat)) {
-            r.hasPhases = true;
-            r.phaseComputeSeconds = std::atof(ptok.c_str());
-            cursor = pat;
-            if (jsonValueAfter(text, "phase_sync_seconds", cursor,
-                               ptok, pat)) {
-                r.phaseSyncSeconds = std::atof(ptok.c_str());
-                cursor = pat;
-            }
-            if (jsonValueAfter(text, "phase_stall_seconds", cursor,
-                               ptok, pat)) {
-                r.phaseStallSeconds = std::atof(ptok.c_str());
-                cursor = pat;
-            }
+        // Optional columns: the fleet label and the profiler phases.
+        if (has("label"))
+            r.label = tok;
+        r.hasPhases = has("phase_compute_seconds");
+        if (r.hasPhases) {
+            r.phaseComputeSeconds = real();
+            if (has("phase_sync_seconds"))
+                r.phaseSyncSeconds = real();
+            if (has("phase_stall_seconds"))
+                r.phaseStallSeconds = real();
         }
         out.runs.push_back(r);
     }
     return !out.runs.empty();
-}
-
-FaultPolicyFlags
-parseFaultPolicyFlags(int &argc, char **argv)
-{
-    FaultPolicyFlags flags;
-    struct Knob {
-        const char *name;
-        double *valueD;       //!< double-valued knobs
-        std::size_t *valueN;  //!< count-valued knobs
-    };
-    const Knob knobs[] = {
-        {"--sync-timeout", &flags.sync.timeoutS, nullptr},
-        {"--sync-retries", nullptr, &flags.sync.maxRetries},
-        {"--sync-backoff-base", &flags.sync.backoffBaseS, nullptr},
-        {"--sync-backoff-max", &flags.sync.backoffMaxS, nullptr},
-        {"--ckpt-retries", nullptr, &flags.checkpointMaxRetries},
-        {"--ckpt-backoff", &flags.checkpointBackoffS, nullptr},
-        {"--ckpt-replicas", nullptr, &flags.ckptReplicas},
-        {"--ckpt-interval", nullptr, &flags.ckptIntervalEpochs},
-        {"--phi-threshold", &flags.phiThreshold, nullptr},
-        {"--phi-window", nullptr, &flags.phiWindow},
-    };
-    compactArgs(argc, argv, [&](int &i) {
-        for (const Knob &k : knobs) {
-            std::string value;
-            if (!matchFlag(k.name, argc, argv, i, value))
-                continue;
-            if (k.valueD)
-                *k.valueD = parseNonNegative(k.name, value);
-            else
-                *k.valueN = parseCount(k.name, value);
-            return true;
-        }
-        return false;
-    });
-    return flags;
 }
 
 const std::vector<Workload> &
@@ -622,7 +505,7 @@ paperWorkloads()
     static const std::vector<Workload> smoke = {
         {"LeNet5-FMNIST", "lenet5", "fmnist", 16},
     };
-    if (opts().smoke)
+    if (options().smoke)
         return smoke;
     static const std::vector<Workload> workloads = {
         {"MobileNet", "mobilenet_v1", "cifar10", 64},
@@ -647,7 +530,7 @@ transferWorkload()
 double
 benchScale()
 {
-    if (opts().smoke)
+    if (options().smoke)
         return 0.05;
     static const double scale = [] {
         const char *env = std::getenv("SOCFLOW_BENCH_SCALE");
@@ -662,7 +545,7 @@ benchScale()
 std::size_t
 scaledEpochs(std::size_t full)
 {
-    if (opts().smoke)
+    if (options().smoke)
         return 1;
     const double scaled = static_cast<double>(full) * benchScale();
     return std::max<std::size_t>(3,
@@ -678,7 +561,7 @@ oursConfig(const Workload &w, std::size_t num_socs,
     cfg.numSocs = num_socs;
     cfg.numGroups = num_groups;
     cfg.groupBatch = w.batch;
-    cfg.seed = opts().seed; // --seed, default 42: reproducible BENCH numbers
+    cfg.seed = options().seed; // --seed, default 42: reproducible BENCH numbers
     applyFleetFlags(cfg.clusterTemplate, num_socs); // --racks et al.
     return cfg;
 }
@@ -690,7 +573,7 @@ baselineConfig(const Workload &w, std::size_t num_socs)
     cfg.modelFamily = w.model;
     cfg.numSocs = num_socs;
     cfg.globalBatch = w.batch;
-    cfg.seed = opts().seed; // --seed, default 42
+    cfg.seed = options().seed; // --seed, default 42
     return cfg;
 }
 
@@ -835,9 +718,9 @@ cachePath(const Workload &w, std::size_t socs, std::size_t epochs)
 {
     std::ostringstream oss;
     oss << ".bench_cache/" << w.key << '_' << socs << '_' << epochs
-        << '_' << benchScale() << (opts().smoke ? "_smoke" : "");
-    if (opts().seed != 42)
-        oss << "_s" << opts().seed;
+        << '_' << benchScale() << (options().smoke ? "_smoke" : "");
+    if (options().seed != 42)
+        oss << "_s" << options().seed;
     oss << ".txt";
     return oss.str();
 }

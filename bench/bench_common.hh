@@ -47,100 +47,68 @@ struct Workload {
 };
 
 /**
- * Observability wiring shared by every bench binary. Recognizes
- *
- *   --trace-out=<path>        (or --trace-out <path>)
- *   --metrics-out=<path>      (or --metrics-out <path>)
- *   --trace-rotate-mb=<mb>    stream the trace instead of buffering:
- *                             rotated segments <base>.0.json,
- *                             <base>.1.json, ... each a valid Chrome
- *                             document capped near <mb> MiB
- *   --metrics-interval=<n>    turn --metrics-out into an NDJSON time
- *                             series, one snapshot line every n
- *                             trained epochs (harvest examples)
- *   --postmortem-out=<path>   arm the crash flight recorder; typed
- *                             failures dump a post-mortem JSON here
- *   --postmortem-spans=<n>    size the flight-recorder ring (spans
- *                             retained for the post-mortem; default
- *                             256, SOCFLOW_POSTMORTEM_SPANS env form
- *                             works for un-flagged binaries)
- *   --smoke                   smoke tier: one tiny workload, 1-epoch
- *                             budgets, bench scale pinned to minimum
- *                             (the ctest bench_smoke_* registrations)
- *   --threads=<n>             size the process-wide thread pool
- *                             (util::setGlobalThreads); default is
- *                             SOCFLOW_THREADS else all cores
- *   --seed=<n>                root seed for bench RNGs (default 42)
- *                             so committed BENCH numbers reproduce
- *                             run-to-run on the same machine
- *   --racks=<n>               fleet width: spread the SoCs across n
- *                             racks behind an inter-rack core
- *                             (default 1 = the paper's single-rack
- *                             server, bit-exact pre-fleet timing)
- *   --core-gbps=<gbps>        inter-rack core bandwidth (default
- *                             100); only meaningful with --racks > 1
- *   --oversub=<factor>        fat-tree core oversubscription: every
- *                             rack uplink runs at switch-bandwidth /
- *                             factor (default 1 = non-blocking core)
- *   --ps-shards=<n>           parameter-server shard count for the
- *                             sharded-PS benches (default 8; >= 1)
- *   --staleness=<n>           bounded-staleness limit for the PS
- *                             benches (default 4; 0 = synchronous)
- *   --metrics-export-cmd=<c>  after the NDJSON metric series is
- *                             written, pipe its lines to shell
- *                             command <c>'s stdin (requires
- *                             --metrics-out + --metrics-interval);
- *                             best-effort remote-export hook
- *   --bench-json=<path>       write the machine-readable throughput
- *                             report here (see writeBenchJson)
- *   --baseline=<path>         compare against a committed BENCH_*.json
- *                             and fail on >10% epochs/sec regression
- *                             (consumed by bench_e2e_throughput)
- *   --profile-out=<path>      write the critical-path profiler's
- *                             PerfReport JSON (obs/profiler.hh) at
- *                             exit; the "perf doctor" summary prints
- *                             to stderr regardless whenever the
- *                             profiler saw at least one epoch
- *
- * enables the process tracer when a trace path is given, and
- * registers an atexit hook that writes the Chrome trace_event JSON
- * (or closes the streaming sink) and/or the metrics dump when the
- * bench finishes. Consumed flags are removed from argv (argc is
- * updated) so benches with their own argument parsing -- including
- * google-benchmark's strict Initialize() -- never see them.
+ * Every setting of the command line shared by the benches and the
+ * examples. The flags, their defaults, bounds and help text live in
+ * one table in bench_common.cc; flagTableMarkdown() renders it as the
+ * README "Flag reference" table. Empty paths mean "not requested".
+ */
+struct BenchOptions {
+    std::string traceOut;
+    std::size_t traceRotateMb = 0;   //!< MiB; 0 = buffer-all export
+    std::string metricsOut;
+    std::size_t metricsInterval = 0; //!< 0 = plain end-of-run text dump
+    std::string postmortemOut;
+    std::size_t postmortemSpans = 0; //!< 0 = the recorder's own default
+    std::size_t threads = 0;         //!< 0 = SOCFLOW_THREADS or all cores
+    std::uint64_t seed = 42;         //!< root seed for bench RNGs
+    bool smoke = false;              //!< ctest smoke tier
+    std::size_t racks = 1;
+    double coreGbps = 100.0;
+    double oversub = 1.0;
+    std::size_t psShards = 8;
+    std::size_t staleness = 4;
+    std::string profileOut;
+    std::string benchJson;
+    std::string baseline;
+    // Fault policy: the same-named fields of core::SoCFlowConfig
+    // (sync, phi*) and trace::HarvestConfig (checkpoint*, ckpt*).
+    collectives::SyncPolicy sync;
+    std::size_t checkpointMaxRetries = 3;
+    double checkpointBackoffS = 2.0;
+    std::size_t ckptReplicas = 0;       //!< 0 = no replicated store
+    std::size_t ckptIntervalEpochs = 0; //!< 0 = on preempt/suspend only
+    double phiThreshold = 8.0;
+    std::size_t phiWindow = 32;
+    /** The NDJSON series writer initBenchObservability creates when
+     *  both --metrics-out and --metrics-interval were given (wire into
+     *  trace::HarvestConfig::metricSeries); never set by parsing. */
+    obs::MetricSeriesWriter *metricSeries = nullptr;
+};
+
+/**
+ * Parse the shared flags, each in the `--flag=value` or the
+ * `--flag value` form, and remove them from argv (argc is updated;
+ * the other arguments keep their order), so binaries with their own
+ * parsing -- including google-benchmark's strict Initialize() --
+ * never see them. A bad or out-of-bound value is a fatal
+ * `bad value for --flag: '<v>'` exit. No side effects otherwise.
+ */
+BenchOptions parseBenchFlags(int &argc, char **argv);
+
+/**
+ * parseBenchFlags() into options(), then apply it: size the thread
+ * pool, arm the flight recorder, enable the tracer (streaming when
+ * rotation was asked for), open the metric series, and register the
+ * atexit hook that writes the trace, metrics and profile outputs.
+ * Every bench and example calls this once, at the top of main().
  */
 void initBenchObservability(int &argc, char **argv);
 
-/** --metrics-interval value (0 = plain end-of-run text dump). */
-std::size_t metricsInterval();
+/** The options of this process (defaults until initBenchObservability). */
+const BenchOptions &options();
 
-/**
- * The NDJSON series writer created when both --metrics-out and
- * --metrics-interval were given; nullptr otherwise. Wire into
- * trace::HarvestConfig::metricSeries.
- */
-obs::MetricSeriesWriter *metricSeries();
-
-/** True when --smoke was given (ctest smoke tier). */
-bool smokeMode();
-
-/** --seed flag value (default 42): root seed for bench RNGs. */
-std::uint64_t benchSeed();
-
-/** --racks flag value (default 1 = single-rack server). */
-std::size_t benchRacks();
-
-/** --core-gbps flag value (default 100). */
-double benchCoreGbps();
-
-/** --oversub flag value (default 1 = non-blocking core). */
-double benchOversub();
-
-/** --ps-shards flag value (default 8): parameter-server shard count. */
-std::size_t benchPsShards();
-
-/** --staleness flag value (default 4): bounded-staleness limit. */
-std::size_t benchStaleness();
+/** The flag table as the README's markdown table. */
+std::string flagTableMarkdown();
 
 /**
  * Apply the fleet flags to a cluster template: with --racks > 1 the
@@ -150,12 +118,6 @@ std::size_t benchStaleness();
  * this) keeps its pre-fleet configs bit-identical.
  */
 void applyFleetFlags(sim::ClusterConfig &cluster, std::size_t num_socs);
-
-/** --bench-json flag value (empty = not requested). */
-const std::string &benchJsonPath();
-
-/** --baseline flag value (empty = no regression comparison). */
-const std::string &benchBaselinePath();
 
 /** One measured thread configuration of a throughput bench. */
 struct BenchRun {
@@ -188,7 +150,7 @@ struct BenchRun {
  */
 struct BenchReport {
     std::string bench;       //!< emitting binary, e.g. "bench_e2e_throughput"
-    std::uint64_t seed = 42; //!< benchSeed() used for the run
+    std::uint64_t seed = 42; //!< options().seed used for the run
     double scale = 1.0;      //!< benchScale() used for the run
     std::vector<BenchRun> runs;
 };
@@ -198,56 +160,6 @@ bool writeBenchJson(const std::string &path, const BenchReport &report);
 
 /** Parse a report written by writeBenchJson. */
 bool readBenchJson(const std::string &path, BenchReport &out);
-
-/** Fault-handling knobs parsed from the command line. */
-struct FaultPolicyFlags {
-    /** Collective timeout/retry/backoff envelope
-     *  (core::SoCFlowConfig::sync). */
-    collectives::SyncPolicy sync;
-    /** Checkpoint-write retries before a checkpoint is lost
-     *  (trace::HarvestConfig::checkpointMaxRetries). */
-    std::size_t checkpointMaxRetries = 3;
-    /** First checkpoint retry backoff, seconds, doubling per retry
-     *  (trace::HarvestConfig::checkpointBackoffS). */
-    double checkpointBackoffS = 2.0;
-    /** Phi-accrual suspicion threshold before a SoC is declared
-     *  failed (core::SoCFlowConfig::phiThreshold). */
-    double phiThreshold = 8.0;
-    /** Heartbeat inter-arrival window of the failure detector
-     *  (core::SoCFlowConfig::phiWindow). */
-    std::size_t phiWindow = 32;
-    /** Durable checkpoint replication factor
-     *  (trace::HarvestConfig::ckptReplicas); 0 = legacy in-memory
-     *  path, 2 survives the loss of any single rack. */
-    std::size_t ckptReplicas = 0;
-    /** Extra durable checkpoint every N trained epochs
-     *  (trace::HarvestConfig::ckptIntervalEpochs); 0 = only on
-     *  preempt/suspend. */
-    std::size_t ckptIntervalEpochs = 0;
-};
-
-/**
- * Parse the fault-policy flags shared by the resilience examples:
- *
- *   --sync-timeout=<seconds>       per-attempt sync stall
- *   --sync-retries=<n>             retries before the ring degrades
- *   --sync-backoff-base=<seconds>  first retry backoff (doubles)
- *   --sync-backoff-max=<seconds>   backoff ceiling
- *   --ckpt-retries=<n>             checkpoint-write retry budget
- *   --ckpt-backoff=<seconds>       first checkpoint retry backoff
- *   --ckpt-replicas=<k>            durable checkpoint copies spread
- *                                  across failure domains (0 = off)
- *   --ckpt-interval=<epochs>       durable checkpoint every N epochs
- *   --phi-threshold=<phi>          failure-detector suspicion level
- *                                  that declares a SoC failed
- *   --phi-window=<n>               heartbeat history window of the
- *                                  phi-accrual detector
- *
- * Both `--flag=value` and `--flag value` forms are accepted;
- * consumed flags are removed from argv (argc is updated). Returned
- * defaults match SyncPolicy / HarvestConfig when a flag is absent.
- */
-FaultPolicyFlags parseFaultPolicyFlags(int &argc, char **argv);
 
 /** The seven from-scratch workloads of Table 2 (in figure order). */
 const std::vector<Workload> &paperWorkloads();

@@ -67,7 +67,7 @@ struct Scenario {
 Scenario
 scenario()
 {
-    if (bench::smokeMode())
+    if (bench::options().smoke)
         return {"lenet5", "fmnist", 16, 4, 16, 120.0};
     return {"lenet5", "emnist", 60, 12, 32, 30.0};
 }
@@ -76,7 +76,7 @@ scenario()
 Scenario
 fleetScenario()
 {
-    if (bench::smokeMode())
+    if (bench::options().smoke)
         return {"lenet5", "fmnist", 8, 2, 16, 120.0,
                 2, 2, 2, "fleet-2rack"};
     return {"lenet5", "emnist", 240, 24, 32, 30.0,
@@ -94,20 +94,20 @@ runOnce(std::size_t threads, const Scenario &sc)
     cfg.numSocs = sc.numSocs;
     cfg.numGroups = sc.numGroups;
     cfg.groupBatch = sc.groupBatch;
-    cfg.seed = bench::benchSeed();
+    cfg.seed = bench::options().seed;
     if (sc.racks > 1) {
         sim::FleetTopology topo{sc.racks, sc.boardsPerRack,
                                 sc.socsPerBoard};
         cfg.clusterTemplate = sim::fleetClusterConfig(topo);
-        cfg.clusterTemplate.coreBps = bench::benchCoreGbps() * 1e9;
-        cfg.clusterTemplate.coreOversub = bench::benchOversub();
+        cfg.clusterTemplate.coreBps = bench::options().coreGbps * 1e9;
+        cfg.clusterTemplate.coreOversub = bench::options().oversub;
     }
     core::SoCFlowTrainer trainer(cfg, bundle);
 
     trace::TidalConfig tcfg;
     tcfg.numSocs = sc.numSocs;
     tcfg.slotMinutes = sc.slotMinutes;
-    tcfg.seed = bench::benchSeed() + 57;
+    tcfg.seed = bench::options().seed + 57;
     trace::TidalTrace tidal(tcfg);
 
     trace::HarvestConfig hcfg;
@@ -206,16 +206,16 @@ main(int argc, char **argv)
     bench::initBenchObservability(argc, argv);
 
     const std::vector<std::size_t> sweep =
-        bench::smokeMode() ? std::vector<std::size_t>{1, 2}
-                           : std::vector<std::size_t>{1, 2, 4, 8};
+        bench::options().smoke ? std::vector<std::size_t>{1, 2}
+                               : std::vector<std::size_t>{1, 2, 4, 8};
 
     const std::vector<std::size_t> fleetSweep =
-        bench::smokeMode() ? std::vector<std::size_t>{1, 2}
-                           : std::vector<std::size_t>{1, 2, 8};
+        bench::options().smoke ? std::vector<std::size_t>{1, 2}
+                               : std::vector<std::size_t>{1, 2, 8};
 
     bench::BenchReport report;
     report.bench = "bench_e2e_throughput";
-    report.seed = bench::benchSeed();
+    report.seed = bench::options().seed;
     report.scale = bench::benchScale();
     for (std::size_t t : sweep)
         report.runs.push_back(runOnce(t, scenario()));
@@ -264,22 +264,22 @@ main(int argc, char **argv)
         }
     }
 
-    if (!bench::benchJsonPath().empty()) {
-        if (!bench::writeBenchJson(bench::benchJsonPath(), report)) {
+    if (!bench::options().benchJson.empty()) {
+        if (!bench::writeBenchJson(bench::options().benchJson, report)) {
             std::fprintf(stderr, "failed to write %s\n",
-                         bench::benchJsonPath().c_str());
+                         bench::options().benchJson.c_str());
             return 1;
         }
         std::fprintf(stderr, "bench report written to %s\n",
-                     bench::benchJsonPath().c_str());
+                     bench::options().benchJson.c_str());
     }
 
-    if (!bench::benchBaselinePath().empty()) {
+    if (!bench::options().baseline.empty()) {
         bench::BenchReport baseline;
-        if (!bench::readBenchJson(bench::benchBaselinePath(),
+        if (!bench::readBenchJson(bench::options().baseline,
                                   baseline)) {
             std::fprintf(stderr, "failed to read baseline %s\n",
-                         bench::benchBaselinePath().c_str());
+                         bench::options().baseline.c_str());
             return 1;
         }
         const bench::BenchRun *cur = anchorRun(report, 4);
@@ -301,7 +301,7 @@ main(int argc, char **argv)
         if (!ok) {
             std::fprintf(stderr,
                          "FAIL: epochs/sec regressed >10%% vs %s\n",
-                         bench::benchBaselinePath().c_str());
+                         bench::options().baseline.c_str());
             return 1;
         }
     }

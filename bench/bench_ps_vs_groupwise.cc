@@ -82,7 +82,7 @@ struct FaultMix {
 std::vector<Topology>
 topologies()
 {
-    if (bench::smokeMode())
+    if (bench::options().smoke)
         return {{"1rack", 16, 4},
                 {"4rack", 16, 4, 4, 1, 4}};
     return {{"1rack", 32, 8},
@@ -92,8 +92,8 @@ topologies()
 std::vector<FaultMix>
 faultMixes()
 {
-    const std::size_t bound = bench::benchStaleness();
-    if (bench::smokeMode())
+    const std::size_t bound = bench::options().staleness;
+    if (bench::options().smoke)
         return {{"clean", false, bound}, {"incast", true, 0}};
     return {{"clean", false, bound},
             {"faulted", true, bound},
@@ -103,7 +103,7 @@ faultMixes()
 std::size_t
 epochBudget()
 {
-    return bench::smokeMode() ? 1 : bench::scaledEpochs(6);
+    return bench::options().smoke ? 1 : bench::scaledEpochs(6);
 }
 
 fault::FaultPlan
@@ -119,12 +119,12 @@ planFor(const Topology &topo, std::size_t epochs)
     pc.stragglers = 0;
     pc.checkpointFailures = 0;
     pc.psServerCrashes = 1;
-    pc.psShards = bench::benchPsShards();
+    pc.psShards = bench::options().psShards;
     pc.boardPartitions = 1;
     pc.partitionWindowEpochs = 1;
     pc.rejoins = 1;
     pc.gradCorrupts = 1;
-    pc.seed = bench::benchSeed() + 31;
+    pc.seed = bench::options().seed + 31;
     return fault::FaultPlan::random(pc);
 }
 
@@ -181,7 +181,7 @@ runMonoPs(const Topology &topo, const FaultMix &mix,
     baselines::BaselineConfig cfg;
     cfg.modelFamily = "lenet5";
     cfg.numSocs = topo.numSocs;
-    cfg.seed = bench::benchSeed();
+    cfg.seed = bench::options().seed;
     cfg.clusterTemplate = topo.cluster();
     // Stale gradients amplify heavy momentum into oscillation at this
     // scale; both async PS modes run plain SGD so the accuracy column
@@ -205,9 +205,9 @@ runShardedPs(const Topology &topo, const FaultMix &mix,
     ps::ShardedPsConfig cfg;
     cfg.modelFamily = "lenet5";
     cfg.numSocs = topo.numSocs;
-    cfg.numShards = bench::benchPsShards();
+    cfg.numShards = bench::options().psShards;
     cfg.staleness = mix.staleness;
-    cfg.seed = bench::benchSeed();
+    cfg.seed = bench::options().seed;
     cfg.clusterTemplate = topo.cluster();
     cfg.sgd.momentum = 0.0; // same rationale as runMonoPs
     ps::ShardedPsTrainer trainer(cfg, bundle);
@@ -238,7 +238,7 @@ runGroupwise(const Topology &topo, const FaultMix &mix,
     cfg.numSocs = topo.numSocs;
     cfg.numGroups = topo.numGroups;
     cfg.groupBatch = 16;
-    cfg.seed = bench::benchSeed();
+    cfg.seed = bench::options().seed;
     cfg.clusterTemplate = topo.cluster();
     core::SoCFlowTrainer trainer(cfg, bundle);
     fault::FaultInjector inj(planFor(topo, epochs));
@@ -280,7 +280,7 @@ incastAnchorRows()
     // per board = 7 boards, so the default 8 shards fold onto 7
     // endpoints -- the same rule ShardMap applies).
     const std::size_t nServers =
-        std::min(bench::benchPsShards(), cc.numBoards());
+        std::min(bench::options().psShards, cc.numBoards());
     std::vector<sim::SocId> servers;
     for (std::size_t s = 0; s < nServers; ++s)
         servers.push_back(s * cc.socsPerBoard);
@@ -305,7 +305,7 @@ main(int argc, char **argv)
 
     const std::size_t epochs = epochBudget();
     const std::string dataset =
-        bench::smokeMode() ? "fmnist" : "emnist";
+        bench::options().smoke ? "fmnist" : "emnist";
     data::DataBundle bundle = data::makeDatasetByName(dataset);
 
     std::vector<Row> rows;
@@ -323,9 +323,9 @@ main(int argc, char **argv)
         rows.push_back(r);
 
     Table table("PS vs group-wise head-to-head (seed " +
-                std::to_string(bench::benchSeed()) + ", " +
+                std::to_string(bench::options().seed) + ", " +
                 std::to_string(epochs) + " epochs, shards=" +
-                std::to_string(bench::benchPsShards()) + ")");
+                std::to_string(bench::options().psShards) + ")");
     table.setHeader({"row", "sim-s", "wall-s", "test-acc", "failovers",
                      "fenced", "paused"});
     for (const Row &r : rows) {
@@ -360,10 +360,10 @@ main(int argc, char **argv)
         return 1;
     }
 
-    if (!bench::benchJsonPath().empty()) {
+    if (!bench::options().benchJson.empty()) {
         bench::BenchReport report;
         report.bench = "bench_ps_vs_groupwise";
-        report.seed = bench::benchSeed();
+        report.seed = bench::options().seed;
         report.scale = bench::benchScale();
         for (const Row &r : rows) {
             bench::BenchRun run;
@@ -377,13 +377,13 @@ main(int argc, char **argv)
             run.label = r.label;
             report.runs.push_back(run);
         }
-        if (!bench::writeBenchJson(bench::benchJsonPath(), report)) {
+        if (!bench::writeBenchJson(bench::options().benchJson, report)) {
             std::fprintf(stderr, "failed to write %s\n",
-                         bench::benchJsonPath().c_str());
+                         bench::options().benchJson.c_str());
             return 1;
         }
         std::fprintf(stderr, "bench report written to %s\n",
-                     bench::benchJsonPath().c_str());
+                     bench::options().benchJson.c_str());
     }
     return 0;
 }

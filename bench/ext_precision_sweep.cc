@@ -69,7 +69,7 @@ main(int argc, char **argv)
     bench::initBenchObservability(argc, argv);
     setLogLevel(LogLevel::Warn);
     for (const auto &w : paperWorkloads())
-        if (smokeMode() || w.key == "VGG11")
+        if (options().smoke || w.key == "VGG11")
             sweep(w);
     std::printf("(the discussion's prediction: wider formats close "
                 "the accuracy gap; SoCFlow's alpha/beta controller "

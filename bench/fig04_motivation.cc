@@ -31,7 +31,7 @@ partA_and_C()
 
     std::vector<const Workload *> picks;
     for (const auto &cand : paperWorkloads())
-        if (smokeMode() || cand.key == "VGG11" ||
+        if (options().smoke || cand.key == "VGG11" ||
             cand.key == "ResNet18")
             picks.push_back(&cand);
     for (const Workload *w : picks) {

@@ -57,7 +57,7 @@ main(int argc, char **argv)
     bench::initBenchObservability(argc, argv);
     setLogLevel(LogLevel::Warn);
     for (const auto &w : paperWorkloads())
-        if (smokeMode() || w.key == "VGG11" || w.key == "ResNet18")
+        if (options().smoke || w.key == "VGG11" || w.key == "ResNet18")
             sweep(w);
     return 0;
 }

@@ -127,27 +127,27 @@ void
 sweepFleet(const Workload &w)
 {
     data::DataBundle bundle = data::makeDatasetByName(w.dataset);
-    const std::size_t epochs = smokeMode() ? 1 : scaledEpochs(5);
+    const std::size_t epochs = options().smoke ? 1 : scaledEpochs(5);
     std::vector<sim::FleetTopology> points;
-    if (smokeMode()) {
+    if (options().smoke) {
         points = {{1, 2, 2}, {2, 2, 2}};
     } else {
         points = {{1, 12, 5}, {4, 12, 5}, {17, 12, 5}};
     }
 
     Table t("Figure 10 (extended): SoCFlow fleet scaling (" + w.key +
-            ", core " + formatDouble(benchCoreGbps(), 0) +
-            " Gbps, oversub " + formatDouble(benchOversub(), 1) + ")");
+            ", core " + formatDouble(options().coreGbps, 0) +
+            " Gbps, oversub " + formatDouble(options().oversub, 1) + ")");
     t.setHeader({"racks", "SoCs", "groups", "epoch-sim-s",
                  "epoch-sync-s", "wall-s"});
     for (const sim::FleetTopology &topo : points) {
         const std::size_t socs = topo.numSocs();
         const std::size_t groups =
-            std::max<std::size_t>(1, socs / (smokeMode() ? 2 : 10));
+            std::max<std::size_t>(1, socs / (options().smoke ? 2 : 10));
         core::SoCFlowConfig cfg = oursConfig(w, socs, groups);
         cfg.clusterTemplate = sim::fleetClusterConfig(topo);
-        cfg.clusterTemplate.coreBps = benchCoreGbps() * 1e9;
-        cfg.clusterTemplate.coreOversub = benchOversub();
+        cfg.clusterTemplate.coreBps = options().coreGbps * 1e9;
+        cfg.clusterTemplate.coreOversub = options().oversub;
 
         const auto start = std::chrono::steady_clock::now();
         core::SoCFlowTrainer ours(cfg, bundle);

@@ -30,7 +30,7 @@ compare(sim::Device gpu, double soc_speedup, const char *title)
 
     std::vector<const Workload *> picks;
     for (const auto &cand : paperWorkloads()) {
-        if (smokeMode()) {
+        if (options().smoke) {
             picks.push_back(&cand);
             continue;
         }

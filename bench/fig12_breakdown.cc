@@ -103,7 +103,7 @@ main(int argc, char **argv)
     bench::initBenchObservability(argc, argv);
     setLogLevel(LogLevel::Warn);
     for (const auto &w : paperWorkloads())
-        if (smokeMode() || w.key == "VGG11" || w.key == "ResNet18")
+        if (options().smoke || w.key == "VGG11" || w.key == "ResNet18")
             breakdown(w);
     std::printf("(paper: sync is 81%% of RING, 71-77%% of "
                 "HiPress/2D-Paral, 17-35%% of FedAvg, ~46%% of "

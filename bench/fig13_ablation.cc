@@ -100,7 +100,7 @@ main(int argc, char **argv)
     bench::initBenchObservability(argc, argv);
     setLogLevel(LogLevel::Warn);
     for (const auto &w : paperWorkloads())
-        if (smokeMode() || w.key == "VGG11" || w.key == "ResNet18")
+        if (options().smoke || w.key == "VGG11" || w.key == "ResNet18")
             ablate(w);
     std::printf("(paper: grouping gains 8-57%%, mapping 1.05-1.10x, "
                 "planning 1.69-1.78x, mixed precision 3.53-5.78x)\n");

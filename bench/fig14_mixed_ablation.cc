@@ -86,7 +86,7 @@ main(int argc, char **argv)
     bench::initBenchObservability(argc, argv);
     setLogLevel(LogLevel::Warn);
     for (const auto &w : paperWorkloads())
-        if (smokeMode() || w.key == "VGG11" || w.key == "ResNet18")
+        if (options().smoke || w.key == "VGG11" || w.key == "ResNet18")
             curves(w);
     std::printf("(paper: Ours-Mixed matches Ours-INT8's speed early "
                 "and Ours-FP32's accuracy at convergence; Ours-Half "

@@ -113,7 +113,7 @@ main(int argc, char **argv)
     // and runs at least one iteration under ctest.
     std::vector<char *> args(argv, argv + argc);
     static char smokeMinTime[] = "--benchmark_min_time=0.001";
-    if (bench::smokeMode())
+    if (bench::options().smoke)
         args.push_back(smokeMinTime);
     args.push_back(nullptr);
     int benchArgc = static_cast<int>(args.size()) - 1;

@@ -72,7 +72,7 @@ main(int argc, char **argv)
     // (same class structure, more data), then fine-tune on CIFAR.
     // Skipped in the smoke tier (ResNet-50 pre-training dwarfs the
     // tiny-workload budget).
-    if (!smokeMode()) {
+    if (!options().smoke) {
         const Workload &w = transferWorkload();
         data::DataBundle pre = data::makeDatasetByName("cinic10");
         baselines::LocalTrainer pretrainer(

@@ -98,8 +98,7 @@ main(int argc, char **argv)
 {
     setLogLevel(LogLevel::Warn);
     bench::initBenchObservability(argc, argv);
-    const bench::FaultPolicyFlags policy =
-        bench::parseFaultPolicyFlags(argc, argv);
+    const bench::BenchOptions &policy = bench::options();
     const std::size_t replicas =
         policy.ckptReplicas > 0 ? policy.ckptReplicas : 2;
     const std::size_t interval =

@@ -19,7 +19,7 @@
  * checkpoint retry envelopes are tunable via --sync-timeout,
  * --sync-retries, --sync-backoff-base, --sync-backoff-max,
  * --ckpt-retries and --ckpt-backoff (see
- * bench::parseFaultPolicyFlags).
+ * the flag table in bench/bench_common.cc).
  */
 
 #include <cstdio>
@@ -39,8 +39,7 @@ main(int argc, char **argv)
 {
     setLogLevel(LogLevel::Warn);
     bench::initBenchObservability(argc, argv);
-    const bench::FaultPolicyFlags policy =
-        bench::parseFaultPolicyFlags(argc, argv);
+    const bench::BenchOptions &policy = bench::options();
 
     // The job: train a LeNet on the EMNIST analog overnight so the
     // refreshed input-method model ships in the morning.
@@ -66,8 +65,8 @@ main(int argc, char **argv)
     hcfg.socsPerGroup = 4;
     hcfg.checkpointMaxRetries = policy.checkpointMaxRetries;
     hcfg.checkpointBackoffS = policy.checkpointBackoffS;
-    hcfg.metricsSnapshotEvery = bench::metricsInterval();
-    hcfg.metricSeries = bench::metricSeries();
+    hcfg.metricsSnapshotEvery = bench::options().metricsInterval;
+    hcfg.metricSeries = bench::options().metricSeries;
 
     const trace::HarvestReport report =
         trace::runHarvestDay(trainer, cfg, trace, hcfg);

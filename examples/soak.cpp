@@ -32,7 +32,8 @@
  * sync/checkpoint retry envelopes are tunable: --sync-timeout,
  * --sync-retries, --sync-backoff-base, --sync-backoff-max,
  * --ckpt-retries, --ckpt-backoff, and the failure detector via
- * --phi-threshold / --phi-window (see bench::parseFaultPolicyFlags).
+ * --phi-threshold / --phi-window (see the flag table in
+ * bench/bench_common.cc).
  *
  * Fleet soaks: --racks=<n> spreads the same 32 SoCs across n racks
  * behind an inter-rack core (--core-gbps / --oversub shape it), and
@@ -79,9 +80,9 @@ namespace {
  *  whole-fleet restart after a RackPowerLoss. */
 trace::HarvestReport
 runDay(const trace::TidalTrace &tidal, fault::FaultInjector *faults,
-       const bench::FaultPolicyFlags &policy,
        std::size_t ckpt_replicas = 0, std::size_t ckpt_interval = 0)
 {
+    const bench::BenchOptions &policy = bench::options();
     data::DataBundle bundle = data::makeDatasetByName("emnist");
     core::SoCFlowConfig cfg;
     cfg.modelFamily = "lenet5";
@@ -101,8 +102,8 @@ runDay(const trace::TidalTrace &tidal, fault::FaultInjector *faults,
     hcfg.faults = faults;
     hcfg.checkpointMaxRetries = policy.checkpointMaxRetries;
     hcfg.checkpointBackoffS = policy.checkpointBackoffS;
-    hcfg.metricsSnapshotEvery = bench::metricsInterval();
-    hcfg.metricSeries = bench::metricSeries();
+    hcfg.metricsSnapshotEvery = policy.metricsInterval;
+    hcfg.metricSeries = policy.metricSeries;
     hcfg.ckptReplicas = ckpt_replicas;
     hcfg.ckptIntervalEpochs = ckpt_interval;
     return trace::runHarvestDay(trainer, cfg, tidal, hcfg);
@@ -127,15 +128,15 @@ struct PsSoakResult {
 
 /** One sharded-PS soak leg; `plan` == nullptr runs fault-free. */
 PsSoakResult
-runPsSoak(const fault::FaultPlan *plan,
-          const bench::FaultPolicyFlags &policy, int epochs)
+runPsSoak(const fault::FaultPlan *plan, int epochs)
 {
+    const bench::BenchOptions &policy = bench::options();
     data::DataBundle bundle = data::makeDatasetByName("emnist");
     ps::ShardedPsConfig cfg;
     cfg.modelFamily = "lenet5";
     cfg.numSocs = 32;
-    cfg.numShards = bench::benchPsShards();
-    cfg.staleness = bench::benchStaleness();
+    cfg.numShards = policy.psShards;
+    cfg.staleness = policy.staleness;
     cfg.globalBatch = 32;
     // Stale gradients amplify heavy momentum into oscillation at this
     // scale; plain SGD keeps the async runs converging.
@@ -174,8 +175,7 @@ main(int argc, char **argv)
 {
     setLogLevel(LogLevel::Warn);
     bench::initBenchObservability(argc, argv);
-    const bench::FaultPolicyFlags policy =
-        bench::parseFaultPolicyFlags(argc, argv);
+    const bench::BenchOptions &policy = bench::options();
 
     trace::TidalConfig tcfg;
     tcfg.numSocs = 32;
@@ -242,7 +242,7 @@ main(int argc, char **argv)
     // the rack-granular analogue of the board partition above, same
     // quorum/park/heal path (DESIGN.md ch. 10). Rack 0 is always
     // fully populated, so the cut span never names a missing board.
-    if (bench::benchRacks() > 1) {
+    if (policy.racks > 1) {
         sim::ClusterConfig fleet;
         bench::applyFleetFlags(fleet, tcfg.numSocs);
         plan.add(fault::rackCut(0, fleet.boardsPerRack, 18, 2));
@@ -267,12 +267,11 @@ main(int argc, char **argv)
     sched.print();
 
     std::printf("\n== clean day ==\n");
-    const trace::HarvestReport clean = runDay(tidal, nullptr, policy);
+    const trace::HarvestReport clean = runDay(tidal, nullptr);
 
     std::printf("== faulted day ==\n");
     fault::FaultInjector injector(plan);
-    const trace::HarvestReport faulted =
-        runDay(tidal, &injector, policy);
+    const trace::HarvestReport faulted = runDay(tidal, &injector);
 
     Table t("Soak: clean vs faulted harvested day");
     t.setHeader({"", "clean", "faulted"});
@@ -380,7 +379,7 @@ main(int argc, char **argv)
     powerPlan.add(outage);
     fault::FaultInjector powerInjector(powerPlan);
     const trace::HarvestReport powerDay = runDay(
-        tidal, &powerInjector, policy, soakReplicas, soakInterval);
+        tidal, &powerInjector, soakReplicas, soakInterval);
 
     Table rt("Rack power loss day (replicated checkpoints)");
     rt.setHeader({"", "value"});
@@ -415,7 +414,7 @@ main(int argc, char **argv)
     // board hosting another shard, corrupt a push burst, and bring
     // the crashed host back. Every recovery shows in the counters.
     std::printf("\n== sharded-PS soak (%zu shards, staleness %zu) ==\n",
-                bench::benchPsShards(), bench::benchStaleness());
+                policy.psShards, policy.staleness);
     fault::FaultPlan psPlan;
     fault::FaultSpec psCrash;
     psCrash.kind = fault::FaultKind::PsServerCrash;
@@ -442,8 +441,8 @@ main(int argc, char **argv)
     psRejoin.soc = 5;
     psPlan.add(psRejoin);
 
-    const PsSoakResult psClean = runPsSoak(nullptr, policy, 8);
-    const PsSoakResult psFaulted = runPsSoak(&psPlan, policy, 8);
+    const PsSoakResult psClean = runPsSoak(nullptr, 8);
+    const PsSoakResult psFaulted = runPsSoak(&psPlan, 8);
 
     Table pt("Sharded-PS soak: clean vs faulted");
     pt.setHeader({"", "clean", "faulted"});
@@ -483,7 +482,7 @@ main(int argc, char **argv)
         warn("PS soak expected CRC retransmits");
     if (psFaulted.acked != psFaulted.applied)
         warn("PS soak lost an acked push (acked != applied)");
-    if (psFaulted.maxAge > bench::benchStaleness())
+    if (psFaulted.maxAge > policy.staleness)
         warn("PS soak violated the staleness bound");
     return 0;
 }

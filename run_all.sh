@@ -1,5 +1,5 @@
 #!/bin/bash
-# Usage: run_all.sh [--sanitize|--tsan|--chaos|--chaos-nightly [count]|--bench [tag]|--profile|--crash-restart|--docs-check]
+# Usage: run_all.sh [--sanitize|--tsan|--chaos|--chaos-nightly [count]|--bench [tag]|--profile|--crash-restart|--docs-check [flag_table]]
 #   default     run the test suite + every bench from build/
 #   --sanitize  configure build-asan with -DSANITIZE=ON and run the
 #               test suite under AddressSanitizer + UBSan
@@ -57,10 +57,12 @@
 #               the surviving cross-rack copy and the resumed
 #               timeline hash must equal a resume from the original
 #               blob (the invariant DESIGN.md ch. 13 promises)
-#   --docs-check
-#               fail if any user-facing "--flag" handled by
-#               bench/bench_common.cc is documented in neither
-#               README.md nor DESIGN.md, or if a backticked lowerCamel
+#   --docs-check [flag_table]
+#               fail if the README.md flag table (between the
+#               bench-flags markers) differs from the output of the
+#               flag_table program (default build/bench/flag_table,
+#               generated from bench/bench_common.cc's flag table),
+#               or if a backticked lowerCamel
 #               or Type::member identifier in README.md or DESIGN.md
 #               names nothing in src/, bench/, tests/, examples/ or
 #               benchmark/ (registered as the docs_check ctest)
@@ -223,17 +225,16 @@ if [ "$1" = "--crash-restart" ]; then
 fi
 
 if [ "$1" = "--docs-check" ]; then
-    # Every user-facing flag the bench harness parses must appear in
-    # README.md or DESIGN.md, so the docs can never silently trail
-    # the CLI surface.
+    # The README flag table is generated: the block between the
+    # bench-flags markers must equal the flag table program's output
+    # (argument 2, default build/bench/flag_table) byte for byte.
     status=0
-    for flag in $(grep -oE '"--[a-z0-9-]+"' bench/bench_common.cc |
-                      tr -d '"' | sort -u); do
-        if ! grep -qF -e "$flag" README.md DESIGN.md; then
-            echo "DOCS_CHECK_UNDOCUMENTED_FLAG $flag"
-            status=1
-        fi
-    done
+    table=${2:-build/bench/flag_table}
+    if ! diff <(sed -n '/<!-- bench-flags:begin -->/,/<!-- bench-flags:end -->/p' README.md |
+                    sed '1d;$d') <("$table"); then
+        echo "DOCS_CHECK_FLAG_TABLE_DIFFERS (README.md vs $table output)"
+        status=1
+    fi
     # Every backticked identifier span (`fooBar`, `fooBar()`,
     # `Type::member`) must still name something in the code, so a
     # rename or deletion cannot leave the docs pointing at nothing.
@@ -259,7 +260,7 @@ if [ "$1" = "--docs-check" ]; then
     if [ $status -eq 0 ]; then
         echo "DOCS_CHECK_COMPLETE"
     else
-        echo "DOCS_CHECK_FAILED (flags above missing from README.md and DESIGN.md, or identifiers above missing from the code)"
+        echo "DOCS_CHECK_FAILED (README.md flag table differs from the flag table program, or identifiers above missing from the code)"
     fi
     exit $status
 fi

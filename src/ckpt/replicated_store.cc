@@ -75,35 +75,6 @@ parseManifest(const std::vector<std::uint8_t> &payload)
 
 } // namespace
 
-std::vector<std::uint8_t>
-sealEnvelope(std::uint64_t magic, const std::vector<std::uint8_t> &payload)
-{
-    std::vector<std::uint8_t> out;
-    out.reserve(payload.size() + 24);
-    putU64(out, magic);
-    putU64(out, payload.size());
-    out.insert(out.end(), payload.begin(), payload.end());
-    putU64(out, core::checkpointChecksum(out));
-    return out;
-}
-
-std::vector<std::uint8_t>
-openEnvelope(std::uint64_t magic, const std::vector<std::uint8_t> &bytes)
-{
-    if (bytes.size() < 24)
-        throw core::CheckpointError("envelope truncated before header");
-    if (getU64(bytes, 0) != magic)
-        throw core::CheckpointError("envelope magic mismatch");
-    const std::uint64_t len = getU64(bytes, 8);
-    if (bytes.size() != len + 24)
-        throw core::CheckpointError("envelope length mismatch");
-    std::vector<std::uint8_t> body(bytes.begin(), bytes.end() - 8);
-    if (core::checkpointChecksum(body) != getU64(bytes, bytes.size() - 8))
-        throw core::CheckpointError("envelope checksum mismatch");
-    return std::vector<std::uint8_t>(bytes.begin() + 16,
-                                     bytes.end() - 8);
-}
-
 ReplicatedCkptStore::ReplicatedCkptStore(const sim::Cluster &cluster_,
                                          CkptStoreConfig config)
     : cluster(cluster_), cfg(config)
@@ -141,8 +112,8 @@ ReplicatedCkptStore::write(std::uint64_t epoch,
 
     const std::uint64_t blobSum = core::checkpointChecksum(blob);
     const std::vector<std::uint8_t> sealed =
-        sealEnvelope(kReplicaMagic, blob);
-    const std::vector<std::uint8_t> manifest = sealEnvelope(
+        core::sealEnvelope(kReplicaMagic, blob);
+    const std::vector<std::uint8_t> manifest = core::sealEnvelope(
         kManifestMagic,
         buildManifest(receipt.generation, epoch, blobSum, sites));
 
@@ -212,7 +183,7 @@ ReplicatedCkptStore::restore(sim::SocId reader)
                 static_cast<double>(cell.manifest.size())));
         try {
             Manifest m = parseManifest(
-                openEnvelope(kManifestMagic, cell.manifest));
+                core::openEnvelope(kManifestMagic, cell.manifest));
             auto [it, fresh] = byGen.try_emplace(m.generation);
             if (fresh)
                 it->second.manifest = m;
@@ -252,7 +223,7 @@ ReplicatedCkptStore::restore(sim::SocId reader)
                 continue;
             std::vector<std::uint8_t> blob;
             try {
-                blob = openEnvelope(kReplicaMagic, cell.data);
+                blob = core::openEnvelope(kReplicaMagic, cell.data);
             } catch (const core::CheckpointError &) {
                 continue; // torn data copy; counted once below
             }
@@ -336,7 +307,7 @@ ReplicatedCkptStore::survivingCopies() const
     std::size_t n = 0;
     for (const auto &cell : cells) {
         try {
-            (void)openEnvelope(kReplicaMagic, cell.data);
+            (void)core::openEnvelope(kReplicaMagic, cell.data);
             ++n;
         } catch (const core::CheckpointError &) {
         }

@@ -82,22 +82,7 @@ struct RestoreResult {
     std::size_t tornCopies = 0;
 };
 
-/**
- * Seal `payload` into a durable envelope:
- * [magic u64][len u64][payload][FNV-1a u64 over all prior bytes].
- */
-std::vector<std::uint8_t> sealEnvelope(
-    std::uint64_t magic, const std::vector<std::uint8_t> &payload);
-
-/**
- * Validate and open an envelope sealed with `magic`. Throws
- * core::CheckpointError on truncation, wrong magic, length mismatch
- * or checksum mismatch -- a torn or bit-flipped copy never opens.
- */
-std::vector<std::uint8_t> openEnvelope(
-    std::uint64_t magic, const std::vector<std::uint8_t> &bytes);
-
-/** Envelope magic for replica data copies ("SFREPV1\0"). */
+/** core::sealEnvelope magic for replica data copies ("SFREPV1\0"). */
 constexpr std::uint64_t kReplicaMagic = 0x5346524550563100ULL;
 /** Envelope magic for manifest copies ("SFMANI1\0"). */
 constexpr std::uint64_t kManifestMagic = 0x53464d414e493100ULL;

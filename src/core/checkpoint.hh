@@ -1,12 +1,13 @@
 /**
  * @file
- * Checkpoint integrity shared by every checkpoint envelope.
+ * The one checkpoint envelope: [magic u64][len u64][payload][FNV-1a
+ * u64 over all prior bytes].
  *
- * SoCFlowTrainer serializes its training state to a byte buffer
- * (weights + epoch + mixed-precision state) sealed with
- * checkpointChecksum; the replicated store (ckpt/replicated_store.hh)
- * seals its data and manifest envelopes with the same checksum and is
- * the only durable home of such buffers.
+ * SoCFlowTrainer seals its training state (epoch, mixed-precision
+ * alpha, weights) under its blob magic; the replicated store
+ * (ckpt/replicated_store.hh) seals its data and manifest copies of
+ * such blobs under its own magics and is the only durable home of
+ * them.
  */
 
 #ifndef SOCFLOW_CORE_CHECKPOINT_HH
@@ -38,6 +39,18 @@ class CheckpointError : public std::runtime_error
 
 /** 64-bit FNV-1a over `blob` (util/hash.hh Fnv1a64). */
 std::uint64_t checkpointChecksum(const std::vector<std::uint8_t> &blob);
+
+/** Seal `payload` into an envelope under `magic`. */
+std::vector<std::uint8_t> sealEnvelope(
+    std::uint64_t magic, const std::vector<std::uint8_t> &payload);
+
+/**
+ * Validate and open an envelope sealed with `magic`. Throws
+ * CheckpointError on truncation, wrong magic, size mismatch or
+ * checksum mismatch -- a torn or bit-flipped copy never opens.
+ */
+std::vector<std::uint8_t> openEnvelope(
+    std::uint64_t magic, const std::vector<std::uint8_t> &bytes);
 
 } // namespace core
 } // namespace socflow

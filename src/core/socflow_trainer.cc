@@ -18,8 +18,10 @@ namespace core {
 
 namespace {
 
-/** Magic prefix of the in-memory checkpoint blob ("SFCKPT1\0"). */
+/** Envelope magic of the checkpoint blob ("SFCKPT1\0"). */
 constexpr std::uint64_t kBlobMagic = 0x5346434b50543100ULL;
+/** Checkpoint payload bytes before the weights: epoch u64 + alpha f64. */
+constexpr std::size_t kBlobHeader = sizeof(std::uint64_t) + sizeof(double);
 
 /**
  * Cached handles into the metrics registry for the trainer hot path
@@ -1932,9 +1934,9 @@ SoCFlowTrainer::groupMomentumNorm(std::size_t g) const
 }
 
 /*
- * Blob layout (little-endian, host byte order):
- *   [magic u64][epoch u64][alpha f64][n u64][weights f32 x n]
- *   [FNV-1a checksum u64 over everything before it]
+ * Blob: the payload [epoch u64][alpha f64][weights f32 x n] (host
+ * byte order) sealed by core::sealEnvelope under kBlobMagic, 40 + 4n
+ * bytes in all.
  */
 std::vector<std::uint8_t>
 SoCFlowTrainer::saveCheckpoint() const
@@ -1943,23 +1945,14 @@ SoCFlowTrainer::saveCheckpoint() const
     const std::vector<float> w = globalWeights();
     const std::uint64_t epoch = epochCounter;
     const double alphaVal = mpc.alpha();
-    const std::uint64_t n = w.size();
 
-    std::vector<std::uint8_t> out;
-    out.reserve(5 * sizeof(std::uint64_t) + n * sizeof(float));
-    const auto put = [&out](const void *src, std::size_t len) {
-        const auto *b = static_cast<const std::uint8_t *>(src);
-        out.insert(out.end(), b, b + len);
-    };
-    put(&kBlobMagic, sizeof(kBlobMagic));
-    put(&epoch, sizeof(epoch));
-    put(&alphaVal, sizeof(alphaVal));
-    put(&n, sizeof(n));
-    put(w.data(), n * sizeof(float));
-    const std::uint64_t sum = checkpointChecksum(out);
-    put(&sum, sizeof(sum));
+    std::vector<std::uint8_t> payload(kBlobHeader + w.size() * sizeof(float));
+    std::memcpy(payload.data(), &epoch, sizeof(epoch));
+    std::memcpy(payload.data() + sizeof(epoch), &alphaVal, sizeof(alphaVal));
+    std::memcpy(payload.data() + kBlobHeader, w.data(),
+                w.size() * sizeof(float));
     trainerMetrics().checkpointSaves.add(1.0);
-    return out;
+    return sealEnvelope(kBlobMagic, payload);
 }
 
 void
@@ -1973,42 +1966,27 @@ SoCFlowTrainer::loadCheckpoint(const std::vector<std::uint8_t> &bytes)
         throw CheckpointError("bad checkpoint blob: " + why);
     };
 
-    std::uint64_t magic = 0, epoch = 0, n = 0;
-    double alphaVal = 1.0;
-    const std::size_t fixed = sizeof(magic) + sizeof(epoch) +
-                              sizeof(alphaVal) + sizeof(n) +
-                              sizeof(std::uint64_t);
-    if (bytes.size() < fixed)
-        reject("truncated header");
-    const std::uint8_t *p = bytes.data();
-    const auto get = [&p](void *dst, std::size_t len) {
-        std::memcpy(dst, p, len);
-        p += len;
-    };
-    get(&magic, sizeof(magic));
-    if (magic != kBlobMagic)
-        reject("wrong magic");
-    get(&epoch, sizeof(epoch));
-    get(&alphaVal, sizeof(alphaVal));
-    get(&n, sizeof(n));
-    if (bytes.size() != fixed + n * sizeof(float))
-        reject("size mismatch");
-
-    std::vector<std::uint8_t> body(bytes.begin(),
-                                   bytes.end() - sizeof(std::uint64_t));
-    std::uint64_t stored = 0;
-    std::memcpy(&stored, bytes.data() + bytes.size() - sizeof(stored),
-                sizeof(stored));
-    if (checkpointChecksum(body) != stored)
-        reject("checksum mismatch (corrupted payload)");
-
+    std::vector<std::uint8_t> payload;
+    try {
+        payload = openEnvelope(kBlobMagic, bytes);
+    } catch (const CheckpointError &e) {
+        reject(e.what());
+    }
+    if (payload.size() < kBlobHeader ||
+        (payload.size() - kBlobHeader) % sizeof(float) != 0)
+        reject("payload size mismatch");
+    const std::size_t n = (payload.size() - kBlobHeader) / sizeof(float);
     if (n != groups.front()->fp32.flatParams().size())
         reject("weight count does not match the built model");
+    std::uint64_t epoch = 0;
+    double alphaVal = 1.0;
+    std::memcpy(&epoch, payload.data(), sizeof(epoch));
+    std::memcpy(&alphaVal, payload.data() + sizeof(epoch), sizeof(alphaVal));
     if (!(alphaVal >= 0.0 && alphaVal <= 1.0))
         reject("alpha out of range");
 
     std::vector<float> w(n);
-    get(w.data(), n * sizeof(float));
+    std::memcpy(w.data(), payload.data() + kBlobHeader, n * sizeof(float));
     for (auto &g : groups)
         g->restoreFrom(w);
     epochCounter = epoch;

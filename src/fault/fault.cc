@@ -1,6 +1,8 @@
 #include "fault/fault.hh"
 
 #include <algorithm>
+#include <array>
+#include <string>
 
 #include "obs/flight_recorder.hh"
 #include "obs/metrics.hh"
@@ -12,90 +14,25 @@ namespace fault {
 
 namespace {
 
-/** Injection accounting, one counter per fault kind. */
+/** Injection accounting, one counter per fault kind. All 13 series
+ *  are registered on first use, so the metrics dump lists every kind
+ *  (label = faultKindName with '-' replaced by '_'). */
 obs::Counter &
 injectedCounter(FaultKind k)
 {
-    struct Counters {
-        obs::Counter &crash;
-        obs::Counter &link;
-        obs::Counter &straggler;
-        obs::Counter &ckpt;
-        obs::Counter &midWave;
-        obs::Counter &gradCorrupt;
-        obs::Counter &leader;
-        obs::Counter &boardPart;
-        obs::Counter &switchPart;
-        obs::Counter &rejoin;
-        obs::Counter &psServer;
-        obs::Counter &rackPower;
-        obs::Counter &replicaLoss;
-        Counters()
-            : crash(obs::metrics().counter("fault_injected_total",
-                                           {{"kind", "soc_crash"}})),
-              link(obs::metrics().counter("fault_injected_total",
-                                          {{"kind", "link_degrade"}})),
-              straggler(obs::metrics().counter(
-                  "fault_injected_total", {{"kind", "straggler"}})),
-              ckpt(obs::metrics().counter(
-                  "fault_injected_total", {{"kind", "checkpoint_fail"}})),
-              midWave(obs::metrics().counter(
-                  "fault_injected_total",
-                  {{"kind", "soc_crash_mid_wave"}})),
-              gradCorrupt(obs::metrics().counter(
-                  "fault_injected_total", {{"kind", "grad_corrupt"}})),
-              leader(obs::metrics().counter(
-                  "fault_injected_total", {{"kind", "leader_crash"}})),
-              boardPart(obs::metrics().counter(
-                  "fault_injected_total",
-                  {{"kind", "board_partition"}})),
-              switchPart(obs::metrics().counter(
-                  "fault_injected_total",
-                  {{"kind", "switch_partition"}})),
-              rejoin(obs::metrics().counter(
-                  "fault_injected_total", {{"kind", "soc_rejoin"}})),
-              psServer(obs::metrics().counter(
-                  "fault_injected_total",
-                  {{"kind", "ps_server_crash"}})),
-              rackPower(obs::metrics().counter(
-                  "fault_injected_total",
-                  {{"kind", "rack_power_loss"}})),
-              replicaLoss(obs::metrics().counter(
-                  "fault_injected_total",
-                  {{"kind", "ckpt_replica_loss"}}))
-        {
+    constexpr std::size_t kKinds =
+        static_cast<std::size_t>(FaultKind::CkptReplicaLoss) + 1;
+    static const std::array<obs::Counter *, kKinds> counters = [] {
+        std::array<obs::Counter *, kKinds> c{};
+        for (std::size_t i = 0; i < kKinds; ++i) {
+            std::string kind = faultKindName(static_cast<FaultKind>(i));
+            std::replace(kind.begin(), kind.end(), '-', '_');
+            c[i] = &obs::metrics().counter("fault_injected_total",
+                                           {{"kind", kind}});
         }
-    };
-    static Counters c;
-    switch (k) {
-      case FaultKind::SocCrash:
-        return c.crash;
-      case FaultKind::LinkDegrade:
-        return c.link;
-      case FaultKind::Straggler:
-        return c.straggler;
-      case FaultKind::CheckpointFail:
-        return c.ckpt;
-      case FaultKind::SocCrashMidWave:
-        return c.midWave;
-      case FaultKind::GradCorrupt:
-        return c.gradCorrupt;
-      case FaultKind::LeaderCrash:
-        return c.leader;
-      case FaultKind::BoardPartition:
-        return c.boardPart;
-      case FaultKind::SwitchPartition:
-        return c.switchPart;
-      case FaultKind::SocRejoin:
-        return c.rejoin;
-      case FaultKind::PsServerCrash:
-        return c.psServer;
-      case FaultKind::RackPowerLoss:
-        return c.rackPower;
-      case FaultKind::CkptReplicaLoss:
-        return c.replicaLoss;
-    }
-    panic("unknown fault kind");
+        return c;
+    }();
+    return *counters[static_cast<std::size_t>(k)];
 }
 
 /** Partition accounting, labelled by cut scope. */

@@ -62,6 +62,8 @@ enum class FaultKind {
     PsServerCrash,   //!< a parameter-server shard host dies
     RackPowerLoss,   //!< whole rack (or fleet) loses power mid-epoch
     CkptReplicaLoss, //!< durable checkpoint replicas destroyed
+    // New kinds go above: fault.cc sizes its per-kind counter table
+    // by CkptReplicaLoss + 1.
 };
 
 /** Printable fault-kind name. */

@@ -10,7 +10,6 @@
 #include "obs/metrics.hh"
 #include "obs/snapshot.hh"
 #include "obs/trace.hh"
-#include "sim/ticks.hh"
 #include "util/logging.hh"
 
 namespace socflow {
@@ -48,9 +47,8 @@ eventCounter(HarvestEvent::Kind k)
 }
 
 /**
- * The per-slot scheduling policy shared by the loop-driven and
- * event-driven drivers: compare idle capacity against the job's
- * needs, then train / preempt / suspend / resume. With a fault
+ * The per-slot scheduling policy: compare idle capacity against the
+ * job's needs, then train / preempt / suspend / resume. With a fault
  * injector attached, checkpoint writes may fail (retried with
  * exponential backoff) and epochs may report crash recoveries, which
  * surface as Crash timeline events.
@@ -326,25 +324,6 @@ runHarvestDay(core::SoCFlowTrainer &trainer,
     HarvestDriver driver(trainer, trainer_cfg.numGroups, trace, cfg);
     for (std::size_t slot = 0; slot < trace.numSlots(); ++slot)
         driver.handleSlot(slot);
-    return driver.finish();
-}
-
-HarvestReport
-runHarvestDayScheduled(core::SoCFlowTrainer &trainer,
-                       const core::SoCFlowConfig &cfg,
-                       const TidalTrace &trace,
-                       const HarvestConfig &policy,
-                       sim::EventQueue &queue)
-{
-    HarvestDriver driver(trainer, cfg.numGroups, trace, policy);
-    const double slotSeconds = trace.config().slotMinutes * 60.0;
-    for (std::size_t slot = 0; slot < trace.numSlots(); ++slot) {
-        queue.schedule(
-            queue.now() + sim::secondsToTicks(
-                              static_cast<double>(slot) * slotSeconds),
-            [&driver, slot] { driver.handleSlot(slot); });
-    }
-    queue.run();
     return driver.finish();
 }
 

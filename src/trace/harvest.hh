@@ -37,7 +37,6 @@
 
 #include "core/socflow_trainer.hh"
 #include "fault/fault.hh"
-#include "sim/event_queue.hh"
 #include "trace/tidal.hh"
 
 namespace socflow {
@@ -174,21 +173,6 @@ HarvestReport runHarvestDay(core::SoCFlowTrainer &trainer,
                             const core::SoCFlowConfig &trainer_cfg,
                             const TidalTrace &trace,
                             const HarvestConfig &cfg);
-
-/**
- * Event-driven variant: the same policy as runHarvestDay, but driven
- * by the discrete-event kernel -- one event per trace slot, scheduled
- * at its simulated wall-clock tick. Produces the identical report
- * (the policy is deterministic); exists so the co-location scheduler
- * composes with other event-driven actors (e.g. per-SoC demand
- * arrivals) in larger simulations.
- * @param queue the event kernel to schedule onto; run to completion.
- */
-HarvestReport runHarvestDayScheduled(core::SoCFlowTrainer &trainer,
-                                     const core::SoCFlowConfig &cfg,
-                                     const TidalTrace &trace,
-                                     const HarvestConfig &policy,
-                                     sim::EventQueue &queue);
 
 } // namespace trace
 } // namespace socflow

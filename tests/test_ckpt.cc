@@ -183,33 +183,33 @@ TEST(CkptPlacement, ShardCheckpointSitesAnchorAtShardOwner)
 TEST(CkptEnvelope, RoundTripsPayload)
 {
     const auto payload = testBlob();
-    const auto sealed = ckpt::sealEnvelope(ckpt::kReplicaMagic, payload);
-    EXPECT_EQ(ckpt::openEnvelope(ckpt::kReplicaMagic, sealed), payload);
+    const auto sealed = core::sealEnvelope(ckpt::kReplicaMagic, payload);
+    EXPECT_EQ(core::openEnvelope(ckpt::kReplicaMagic, sealed), payload);
 }
 
 TEST(CkptEnvelope, EmptyPayloadRoundTrips)
 {
-    const auto sealed = ckpt::sealEnvelope(ckpt::kManifestMagic, {});
+    const auto sealed = core::sealEnvelope(ckpt::kManifestMagic, {});
     EXPECT_TRUE(
-        ckpt::openEnvelope(ckpt::kManifestMagic, sealed).empty());
+        core::openEnvelope(ckpt::kManifestMagic, sealed).empty());
 }
 
 TEST(CkptEnvelope, WrongMagicIsTyped)
 {
-    const auto sealed = ckpt::sealEnvelope(ckpt::kReplicaMagic, {1, 2});
-    EXPECT_THROW(ckpt::openEnvelope(ckpt::kManifestMagic, sealed),
+    const auto sealed = core::sealEnvelope(ckpt::kReplicaMagic, {1, 2});
+    EXPECT_THROW(core::openEnvelope(ckpt::kManifestMagic, sealed),
                  core::CheckpointError);
 }
 
 TEST(CkptEnvelope, EverySingleByteCorruptionIsDetected)
 {
     const auto payload = testBlob(3, 48);
-    const auto sealed = ckpt::sealEnvelope(ckpt::kReplicaMagic, payload);
+    const auto sealed = core::sealEnvelope(ckpt::kReplicaMagic, payload);
     for (std::size_t i = 0; i < sealed.size(); ++i) {
         for (int bit = 0; bit < 8; ++bit) {
             auto bad = sealed;
             bad[i] ^= static_cast<std::uint8_t>(1u << bit);
-            EXPECT_THROW(ckpt::openEnvelope(ckpt::kReplicaMagic, bad),
+            EXPECT_THROW(core::openEnvelope(ckpt::kReplicaMagic, bad),
                          core::CheckpointError)
                 << "byte " << i << " bit " << bit
                 << " flipped but the envelope still opened";
@@ -220,13 +220,13 @@ TEST(CkptEnvelope, EverySingleByteCorruptionIsDetected)
 TEST(CkptEnvelope, EveryTruncationIsDetected)
 {
     const auto sealed =
-        ckpt::sealEnvelope(ckpt::kReplicaMagic, testBlob(5, 32));
+        core::sealEnvelope(ckpt::kReplicaMagic, testBlob(5, 32));
     for (std::size_t len = 0; len < sealed.size(); ++len) {
         std::vector<std::uint8_t> cut(sealed.begin(),
                                       sealed.begin() +
                                           static_cast<std::ptrdiff_t>(
                                               len));
-        EXPECT_THROW(ckpt::openEnvelope(ckpt::kReplicaMagic, cut),
+        EXPECT_THROW(core::openEnvelope(ckpt::kReplicaMagic, cut),
                      core::CheckpointError)
             << "truncated to " << len << " bytes but still opened";
     }

@@ -9,12 +9,15 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "collectives/engine.hh"
 #include "core/mapping.hh"
 #include "core/socflow_trainer.hh"
 #include "data/synthetic.hh"
 #include "fault/fault.hh"
+#include "obs/metrics.hh"
 #include "sim/cluster.hh"
 #include "trace/harvest.hh"
 #include "trace/tidal.hh"
@@ -193,6 +196,42 @@ TEST(FaultInjector, CheckpointBudgetConsumedPerAttempt)
     EXPECT_TRUE(inj.checkpointWriteFails());
     EXPECT_FALSE(inj.checkpointWriteFails());  // budget exhausted
     EXPECT_EQ(inj.pendingCheckpointFailures(), 0u);
+}
+
+TEST(FaultInjector, FirstInjectionRegistersEveryKindSeries)
+{
+    // The first injection registers one fault_injected_total series
+    // per fault kind, so the metrics dump always lists all 13.
+    FaultPlan plan;
+    FaultSpec slow;
+    slow.kind = FaultKind::Straggler;
+    slow.epoch = 1;
+    slow.soc = 2;
+    slow.factor = 0.5;
+    plan.add(slow);
+    FaultInjector inj(plan);
+    inj.advanceTo(1);
+
+    std::vector<std::string> keys;
+    for (const auto &[key, value] : obs::metrics().snapshotValues())
+        if (key.rfind("fault_injected_total", 0) == 0)
+            keys.push_back(key);
+    const std::vector<std::string> expected = {
+        "fault_injected_total{kind=\"board_partition\"}",
+        "fault_injected_total{kind=\"checkpoint_fail\"}",
+        "fault_injected_total{kind=\"ckpt_replica_loss\"}",
+        "fault_injected_total{kind=\"grad_corrupt\"}",
+        "fault_injected_total{kind=\"leader_crash\"}",
+        "fault_injected_total{kind=\"link_degrade\"}",
+        "fault_injected_total{kind=\"ps_server_crash\"}",
+        "fault_injected_total{kind=\"rack_power_loss\"}",
+        "fault_injected_total{kind=\"soc_crash\"}",
+        "fault_injected_total{kind=\"soc_crash_mid_wave\"}",
+        "fault_injected_total{kind=\"soc_rejoin\"}",
+        "fault_injected_total{kind=\"straggler\"}",
+        "fault_injected_total{kind=\"switch_partition\"}",
+    };
+    EXPECT_EQ(keys, expected);
 }
 
 // ------------------------------------------------- resilient sync

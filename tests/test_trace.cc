@@ -179,34 +179,3 @@ TEST(Harvest, DemandSurgeCausesSuspension)
               report.checkpointsTaken);
 }
 
-TEST(Harvest, EventDrivenMatchesLoopDriven)
-{
-    data::DataBundle bundle = tinyBundle();
-    core::SoCFlowConfig tcfg;
-    tcfg.modelFamily = "mlp";
-    tcfg.numSocs = 16;
-    tcfg.numGroups = 4;
-    tcfg.groupBatch = 16;
-
-    TidalConfig trCfg;
-    trCfg.numSocs = 16;
-    trCfg.slotMinutes = 60.0;
-    TidalTrace trace(trCfg);
-    HarvestConfig hcfg;
-    hcfg.socsPerGroup = 4;
-
-    core::SoCFlowTrainer a(tcfg, bundle), b(tcfg, bundle);
-    const HarvestReport loop = runHarvestDay(a, tcfg, trace, hcfg);
-    sim::EventQueue queue;
-    const HarvestReport event =
-        runHarvestDayScheduled(b, tcfg, trace, hcfg, queue);
-
-    // Identical deterministic policy: same schedule and outcome.
-    EXPECT_EQ(loop.epochsTrained, event.epochsTrained);
-    EXPECT_EQ(loop.preemptions, event.preemptions);
-    EXPECT_EQ(loop.suspensions, event.suspensions);
-    EXPECT_EQ(loop.timeline.size(), event.timeline.size());
-    EXPECT_NEAR(loop.finalTestAcc, event.finalTestAcc, 1e-12);
-    // The kernel advanced through the whole simulated day.
-    EXPECT_GE(sim::ticksToSeconds(queue.now()), 23.0 * 3600.0);
-}
