@@ -6,6 +6,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench_common.hh"
 #include "util/logging.hh"
@@ -37,8 +38,9 @@ main(int argc, char **argv)
             const bool reached = run.result.reached(suite.targetAcc);
             const double sec =
                 run.result.secondsToAccuracy(suite.targetAcc);
-            row.push_back((reached ? "" : ">") +
-                          formatDuration(sec));
+            std::string cell = reached ? "" : ">";
+            cell += formatDuration(sec);
+            row.push_back(cell);
             if (m == "PS")
                 psT = sec;
             if (m == "RING")

@@ -5,6 +5,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench_common.hh"
 #include "util/logging.hh"
@@ -35,7 +36,9 @@ main(int argc, char **argv)
             const bool reached = run.result.reached(suite.targetAcc);
             const double kj =
                 run.result.joulesToAccuracy(suite.targetAcc) / 1000.0;
-            row.push_back((reached ? "" : ">") + formatDouble(kj, 1));
+            std::string cell = reached ? "" : ">";
+            cell += formatDouble(kj, 1);
+            row.push_back(cell);
             if (m == "PS")
                 psE = kj;
             if (m == "Ours")

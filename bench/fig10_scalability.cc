@@ -21,6 +21,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <string>
 
 #include "bench_common.hh"
 
@@ -106,9 +107,9 @@ sweepWorkload(const Workload &w)
                     retime(fedRef, method, trainer->runEpoch());
             }
             const bool reached = result.reached(target);
-            row.push_back((reached ? "" : ">") +
-                          formatDuration(
-                              result.secondsToAccuracy(target)));
+            std::string cell = reached ? "" : ">";
+            cell += formatDuration(result.secondsToAccuracy(target));
+            row.push_back(cell);
         }
         t.addRow(std::move(row));
     }

@@ -1,8 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the numerical kernels behind
- * the training substrate: GEMM, im2col convolution, quantization,
- * and full model steps.
+ * the training substrate: GEMM, im2col convolution, ReLU backward,
+ * quantization, and full model steps.
  */
 
 #include <vector>
@@ -148,6 +148,50 @@ BM_Conv2dBackward(benchmark::State &state)
 }
 BENCHMARK(BM_Conv2dBackward)->Apply(convShapes);
 
+/**
+ * im2col of one sample on the LeNet census shapes {channels, map
+ * side}: conv1 (1x12x12) and conv2 (6x6x6), both 5x5 with pad 2.
+ */
+static void
+BM_Im2col(benchmark::State &state)
+{
+    const auto c = static_cast<std::size_t>(state.range(0));
+    const auto side = static_cast<std::size_t>(state.range(1));
+    const tensor::ConvGeom g{c, 1, 5, 1, 2};
+    Rng rng(8);
+    Tensor x = Tensor::randn({c, side, side}, rng);
+    std::vector<float> cols(c * 25 * side * side);
+    for (auto _ : state) {
+        tensor::im2col(x.data(), c, side, side, g, cols.data());
+        benchmark::DoNotOptimize(cols.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Im2col)->ArgNames({"c", "side"})->Args({1, 12})->Args({6, 6});
+
+/**
+ * ReLU backward over the LeNet activations of a 16-sample batch:
+ * conv1's 6x12x12 and conv2's 16x6x6 maps. Half the inputs are
+ * negative, so a per-element branch would mispredict.
+ */
+static void
+BM_ReluBackward(benchmark::State &state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    Rng rng(9);
+    Tensor x = Tensor::randn({n}, rng);
+    Tensor g = Tensor::randn({n}, rng);
+    Tensor out({n});
+    for (auto _ : state) {
+        tensor::reluBackward(x, g, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ReluBackward)->Arg(16 * 6 * 12 * 12)->Arg(16 * 16 * 6 * 6);
+
 static void
 BM_DepthwiseConv(benchmark::State &state)
 {
@@ -181,6 +225,33 @@ BM_FakeQuantize(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_FakeQuantize)->Arg(1 << 12)->Arg(1 << 16);
+
+/**
+ * The round-to-nearest fakeQuantize the INT8 trainer runs on every
+ * weight and gradient, on LeNet's conv2 weight size and a larger
+ * tensor: isa 0 is the baseline build, 1 the host's (SSE4.1 on x86).
+ */
+static void
+BM_FakeQuantizeNearest(benchmark::State &state)
+{
+    const std::size_t n = static_cast<std::size_t>(state.range(0));
+    const auto isa = state.range(1) == 0 ? quant::detail::RoundIsa::Baseline
+                                         : quant::detail::roundHostIsa();
+    Rng rng(4);
+    const Tensor t = Tensor::randn({n}, rng);
+    quant::QuantConfig cfg;
+    cfg.stochasticRounding = false;
+    Tensor copy = t;
+    for (auto _ : state) {
+        copy = t;
+        quant::detail::fakeQuantizeWithIsa(isa, copy, cfg, nullptr);
+        benchmark::DoNotOptimize(copy.data());
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_FakeQuantizeNearest)
+    ->ArgNames({"n", "isa"})
+    ->ArgsProduct({{2400, 1 << 16}, {0, 1}});
 
 static void
 BM_Int8Gemm(benchmark::State &state)

@@ -9,9 +9,11 @@
 #               parallel determinism harness, the sharded
 #               parameter-server suite, the conv kernels, whose
 #               chunk and GEMM row fan-outs run from the main thread,
-#               and the tensor suite, whose GEMM differential test runs
+#               the tensor suite, whose GEMM differential test runs
 #               the row fan-out over per-thread transpose scratch at
-#               1 and 4 threads) under ThreadSanitizer
+#               1 and 4 threads, and the quant and nn suites, whose
+#               INT8 and FP32 steps run at the same time as the two
+#               halves of a group step) under ThreadSanitizer
 #   --bench [tag]
 #               build Release into build-rel, run bench_e2e_throughput
 #               and fig10_scalability, write BENCH_<tag>.json (tag
@@ -124,13 +126,13 @@ if [ "$1" = "--chaos-nightly" ]; then
 fi
 
 if [ "$1" = "--tsan" ]; then
-    tsan_targets="test_obs_stream test_membership test_thread_pool test_parallel_determinism test_ps test_profiler test_ckpt test_conv test_tensor"
+    tsan_targets="test_obs_stream test_membership test_thread_pool test_parallel_determinism test_ps test_profiler test_ckpt test_conv test_tensor test_quant test_nn"
     cmake -B build-tsan -S . -DSANITIZE=thread || exit 1
     cmake --build build-tsan -j --target $tsan_targets || exit 1
     ( set -o pipefail
       TSAN_OPTIONS=halt_on_error=1 \
           ctest --test-dir build-tsan --output-on-failure \
-              -R 'test_(obs_stream|membership|thread_pool|parallel_determinism|ps|profiler|ckpt|conv|tensor)$' 2>&1 |
+              -R 'test_(obs_stream|membership|thread_pool|parallel_determinism|ps|profiler|ckpt|conv|tensor|quant|nn)$' 2>&1 |
           tee /root/repo/tsan_output.txt ) || exit 1
     echo "TSAN_RUN_COMPLETE"
     exit 0

@@ -14,21 +14,8 @@ namespace ckpt {
 
 namespace {
 
-void
-putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint64_t
-getU64(const std::vector<std::uint8_t> &in, std::size_t off)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= std::uint64_t{in[off + i]} << (8 * i);
-    return v;
-}
+using core::getU64;
+using core::putU64;
 
 /** Manifest payload: [generation][epoch][blob checksum][k][k × soc]. */
 std::vector<std::uint8_t>
@@ -306,11 +293,8 @@ ReplicatedCkptStore::survivingCopies() const
 {
     std::size_t n = 0;
     for (const auto &cell : cells) {
-        try {
-            (void)core::openEnvelope(kReplicaMagic, cell.data);
+        if (core::envelopeIntact(kReplicaMagic, cell.data))
             ++n;
-        } catch (const core::CheckpointError &) {
-        }
     }
     return n;
 }

@@ -7,6 +7,25 @@ namespace core {
 
 namespace {
 
+/** Why `bytes` is not an intact envelope under `magic`, or null. */
+const char *
+envelopeDefect(std::uint64_t magic, const std::vector<std::uint8_t> &bytes)
+{
+    if (bytes.size() < 24)
+        return "envelope truncated before header";
+    if (getU64(bytes, 0) != magic)
+        return "envelope magic mismatch";
+    if (bytes.size() != getU64(bytes, 8) + 24)
+        return "envelope size mismatch";
+    Fnv1a64 h;
+    h.mixBytes(bytes.data(), bytes.size() - 8);
+    if (h.value() != getU64(bytes, bytes.size() - 8))
+        return "envelope checksum mismatch";
+    return nullptr;
+}
+
+} // namespace
+
 void
 putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
 {
@@ -22,8 +41,6 @@ getU64(const std::vector<std::uint8_t> &in, std::size_t off)
         v |= std::uint64_t{in[off + i]} << (8 * i);
     return v;
 }
-
-} // namespace
 
 std::uint64_t
 checkpointChecksum(const std::vector<std::uint8_t> &blob)
@@ -48,18 +65,16 @@ sealEnvelope(std::uint64_t magic, const std::vector<std::uint8_t> &payload)
 std::vector<std::uint8_t>
 openEnvelope(std::uint64_t magic, const std::vector<std::uint8_t> &bytes)
 {
-    if (bytes.size() < 24)
-        throw CheckpointError("envelope truncated before header");
-    if (getU64(bytes, 0) != magic)
-        throw CheckpointError("envelope magic mismatch");
-    const std::uint64_t len = getU64(bytes, 8);
-    if (bytes.size() != len + 24)
-        throw CheckpointError("envelope size mismatch");
-    std::vector<std::uint8_t> body(bytes.begin(), bytes.end() - 8);
-    if (checkpointChecksum(body) != getU64(bytes, bytes.size() - 8))
-        throw CheckpointError("envelope checksum mismatch");
+    if (const char *defect = envelopeDefect(magic, bytes))
+        throw CheckpointError(defect);
     return std::vector<std::uint8_t>(bytes.begin() + 16,
                                      bytes.end() - 8);
+}
+
+bool
+envelopeIntact(std::uint64_t magic, const std::vector<std::uint8_t> &bytes)
+{
+    return envelopeDefect(magic, bytes) == nullptr;
 }
 
 } // namespace core

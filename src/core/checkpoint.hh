@@ -13,6 +13,7 @@
 #ifndef SOCFLOW_CORE_CHECKPOINT_HH
 #define SOCFLOW_CORE_CHECKPOINT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -37,6 +38,12 @@ class CheckpointError : public std::runtime_error
     }
 };
 
+/** Append `v` to `out` as 8 little-endian bytes. */
+void putU64(std::vector<std::uint8_t> &out, std::uint64_t v);
+
+/** The little-endian u64 at `in[off, off + 8)`. */
+std::uint64_t getU64(const std::vector<std::uint8_t> &in, std::size_t off);
+
 /** 64-bit FNV-1a over `blob` (util/hash.hh Fnv1a64). */
 std::uint64_t checkpointChecksum(const std::vector<std::uint8_t> &blob);
 
@@ -51,6 +58,10 @@ std::vector<std::uint8_t> sealEnvelope(
  */
 std::vector<std::uint8_t> openEnvelope(
     std::uint64_t magic, const std::vector<std::uint8_t> &bytes);
+
+/** True when openEnvelope() would open `bytes`; copies nothing. */
+bool envelopeIntact(std::uint64_t magic,
+                    const std::vector<std::uint8_t> &bytes);
 
 } // namespace core
 } // namespace socflow

@@ -577,72 +577,81 @@ SoCFlowTrainer::runGroupStep(EpochRun &ep, std::size_t step)
         foldCapture(profStepCap, ep.f);
     }
 
-    // Per-group training steps are independent until the wave sync:
-    // each worker touches only its own GroupState, its own cursor
-    // slot, and its own result slot. All cross-group accumulation
-    // (loss/acc/samples, the compute-time max, trace spans) happens in
-    // the serial fold below, in ascending group order -- the exact
-    // accumulation order of the old serial loop, so the timeline
-    // stays bit-exact at any thread count (DESIGN.md ch. 9).
+    // Take each group's batch from its shard and split it between
+    // the CPU (FP32) and NPU (INT8) halves, serially and in group
+    // order, so the cursors advance as in a serial loop.
     ep.outs.assign(groups.size(), GroupStepOut{});
     const double fCpu = ep.fCpu;
-    globalThreadPool().parallelFor(groups.size(), [&](std::size_t gi) {
-        GroupState &g = *groups[gi];
-        const auto &shard = ep.shards[gi];
-        if (shard.empty())
-            return;
-
-        // Assemble this group's batch from its shard.
+    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+        const std::size_t shardSize = ep.shards[gi].size();
         std::size_t &cursor = ep.cursor[gi];
-        std::vector<std::size_t> batchIdx;
-        batchIdx.reserve(cfg.groupBatch);
-        for (std::size_t i = 0;
-             i < cfg.groupBatch && cursor < shard.size(); ++i, ++cursor)
-            batchIdx.push_back(shard[cursor]);
-        if (batchIdx.empty())
-            return;
-
-        // Split CPU/NPU portions of the batch.
+        if (cursor >= shardSize)
+            continue;
+        GroupStepOut &o = ep.outs[gi];
+        o.begin = cursor;
+        o.end = cursor = std::min(shardSize, cursor + cfg.groupBatch);
+        const std::size_t size = o.end - o.begin;
         std::size_t nCpu = static_cast<std::size_t>(
-            std::lround(fCpu * static_cast<double>(batchIdx.size())));
+            std::lround(fCpu * static_cast<double>(size)));
         if (cfg.npuOnly)
             nCpu = 0;
         else if (!cfg.useMixedPrecision)
-            nCpu = batchIdx.size();
+            nCpu = size;
         else
-            nCpu = std::clamp<std::size_t>(nCpu, 1, batchIdx.size() - 1);
+            nCpu = std::clamp<std::size_t>(nCpu, 1, size - 1);
+        o.split = o.begin + nCpu;
+        o.ran = true;
+    }
 
-        GroupStepOut &o = ep.outs[gi];
-        if (nCpu > 0) {
-            std::vector<std::size_t> front(batchIdx.begin(),
-                                           batchIdx.begin() + nCpu);
-            auto [xc, yc] = bundle.train.batch(front);
+    // The two halves of every group step run as two pool items: even
+    // items train the FP32 replica, odd items the INT8 replica. They
+    // touch disjoint replicas (and no shared RNG) until the merge, and
+    // each writes only its own result slot. All cross-group
+    // accumulation (loss/acc/samples, the compute-time max, trace
+    // spans) happens in the serial fold below, in ascending group
+    // order, so the timeline stays bit-exact at any thread count
+    // (DESIGN.md ch. 9).
+    globalThreadPool().parallelFor(2 * groups.size(), [&](std::size_t it) {
+        GroupStepOut &o = ep.outs[it / 2];
+        GroupState &g = *groups[it / 2];
+        const auto &shard = ep.shards[it / 2];
+        const bool cpu = it % 2 == 0;
+        const std::size_t lo = cpu ? o.begin : o.split;
+        const std::size_t hi = cpu ? o.split : o.end;
+        if (!o.ran || lo == hi)
+            return;
+        auto [x, y] = bundle.train.batch(std::vector<std::size_t>(
+            shard.begin() + static_cast<std::ptrdiff_t>(lo),
+            shard.begin() + static_cast<std::ptrdiff_t>(hi)));
+        if (cpu) {
             g.fp32.zeroGrad();
-            o.rCpu = g.fp32.trainStep(xc, yc);
+            o.rCpu = g.fp32.trainStep(x, y);
             g.sgd->step();
+        } else {
+            o.rNpu = g.int8Trainer->trainStep(x, y);
         }
-        if (nCpu < batchIdx.size()) {
-            std::vector<std::size_t> back(batchIdx.begin() + nCpu,
-                                          batchIdx.end());
-            auto [xn, yn] = bundle.train.batch(back);
-            o.rNpu = g.int8Trainer->trainStep(xn, yn);
-        }
+    });
 
-        // On-chip aggregation (Eq. 5), then intra-group sync
-        // (implicit: the group replica is the synced state).
-        if (nCpu > 0 && nCpu < batchIdx.size()) {
+    // On-chip aggregation (Eq. 5), then intra-group sync (implicit:
+    // the group replica is the synced state). Groups are independent
+    // again here, one item each.
+    globalThreadPool().parallelFor(groups.size(), [&](std::size_t gi) {
+        GroupStepOut &o = ep.outs[gi];
+        if (!o.ran)
+            return;
+        GroupState &g = *groups[gi];
+        if (o.split > o.begin && o.split < o.end) {
             std::vector<float> merged;
             mpc.mergeWeights(g.fp32.flatParams(), g.int8.flatParams(),
                              merged);
             g.fp32.setFlatParams(merged);
             g.int8.setFlatParams(merged);
-        } else if (nCpu == 0) {
+        } else if (o.split == o.begin) {
             g.fp32.setFlatParams(g.int8.flatParams());
         } else {
             g.int8.setFlatParams(g.fp32.flatParams());
         }
         o.gSec = groupComputeSeconds(g, fCpu);
-        o.ran = true;
     });
 
     // Serial fold, ascending group order (bit-exact vs serial).

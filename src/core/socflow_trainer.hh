@@ -350,8 +350,11 @@ class SoCFlowTrainer : public DistTrainer
         void restoreFrom(const std::vector<float> &w);
     };
 
-    /** One group's share of a training step (filled in parallel). */
+    /** One group's share of a training step: its batch is
+     *  shard[begin, end), the CPU half [begin, split) and the NPU half
+     *  [split, end); the two halves fill rCpu and rNpu in parallel. */
     struct GroupStepOut {
+        std::size_t begin = 0, split = 0, end = 0;
         nn::StepResult rCpu{}, rNpu{};
         double gSec = 0.0;
         bool ran = false;

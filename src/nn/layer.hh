@@ -55,6 +55,17 @@ class Layer
      */
     virtual Tensor backward(const Tensor &grad_out) = 0;
 
+    /**
+     * backward() for a layer whose input gradient nobody reads (the
+     * network's first layer): accumulates the same parameter
+     * gradients, bit for bit, and returns nothing. Layers that can
+     * skip the input-gradient work override it.
+     */
+    virtual void backwardParams(const Tensor &grad_out)
+    {
+        backward(grad_out);
+    }
+
     /** Mutable views of the layer's parameters (possibly empty). */
     virtual std::vector<Param *> params() { return {}; }
 

@@ -40,11 +40,17 @@ Tensor
 Dense::backward(const Tensor &grad_out)
 {
     // dW += dOut^T * X ; db += colsum(dOut) ; dX = dOut * W
-    tensor::gemm(grad_out, true, cachedInput, false, weight.grad, 1.0f);
-    tensor::biasGradRows(grad_out, bias.grad);
+    backwardParams(grad_out);
     Tensor gradIn({grad_out.dim(0), inF});
     tensor::gemm(grad_out, false, weight.value, false, gradIn);
     return gradIn;
+}
+
+void
+Dense::backwardParams(const Tensor &grad_out)
+{
+    tensor::gemm(grad_out, true, cachedInput, false, weight.grad, 1.0f);
+    tensor::biasGradRows(grad_out, bias.grad);
 }
 
 std::vector<Param *>
@@ -108,6 +114,14 @@ Conv2D::backward(const Tensor &grad_out)
     tensor::conv2dBackward(cachedInput, weight.value, g, grad_out,
                            &gradIn, weight.grad);
     return gradIn;
+}
+
+void
+Conv2D::backwardParams(const Tensor &grad_out)
+{
+    tensor::biasGradChannels(grad_out, bias.grad);
+    tensor::conv2dBackward(cachedInput, weight.value, g, grad_out,
+                           nullptr, weight.grad);
 }
 
 std::vector<Param *>

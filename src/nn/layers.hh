@@ -29,6 +29,8 @@ class Dense : public Layer
 
     Tensor forward(const Tensor &x, bool train) override;
     Tensor backward(const Tensor &grad_out) override;
+    /** dW and db only: skips the dX GEMM. */
+    void backwardParams(const Tensor &grad_out) override;
     std::vector<Param *> params() override;
     std::string name() const override;
     std::unique_ptr<Layer> clone() const override;
@@ -54,6 +56,8 @@ class Conv2D : public Layer
 
     Tensor forward(const Tensor &x, bool train) override;
     Tensor backward(const Tensor &grad_out) override;
+    /** dW and db only: skips the dX GEMM and col2im. */
+    void backwardParams(const Tensor &grad_out) override;
     std::vector<Param *> params() override;
     std::string name() const override;
     std::unique_ptr<Layer> clone() const override;

@@ -48,7 +48,9 @@ Model::trainStep(const Tensor &x, const std::vector<int> &labels)
         correct += preds[i] == labels[i] ? 1 : 0;
     r.accuracy = static_cast<double>(correct) /
                  static_cast<double>(labels.size());
-    net->backward(gradLogits);
+    // Nothing reads the network's input gradient: its first layer
+    // skips that work.
+    net->backwardParams(gradLogits);
     return r;
 }
 

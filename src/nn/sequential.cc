@@ -32,6 +32,17 @@ Sequential::backward(const Tensor &grad_out)
     return cur;
 }
 
+void
+Sequential::backwardParams(const Tensor &grad_out)
+{
+    if (children.empty())
+        return;
+    Tensor cur = grad_out;
+    for (std::size_t i = children.size() - 1; i > 0; --i)
+        cur = children[i]->backward(cur);
+    children.front()->backwardParams(cur);
+}
+
 std::vector<Param *>
 Sequential::params()
 {

@@ -27,6 +27,8 @@ class Sequential : public Layer
 
     Tensor forward(const Tensor &x, bool train) override;
     Tensor backward(const Tensor &grad_out) override;
+    /** backward() whose first child skips its input gradient. */
+    void backwardParams(const Tensor &grad_out) override;
     std::vector<Param *> params() override;
     std::string name() const override { return "sequential"; }
     std::unique_ptr<Layer> clone() const override;

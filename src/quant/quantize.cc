@@ -59,18 +59,94 @@ dequantize(const std::int32_t *q, std::size_t n, float scale, float *x)
         x[i] = static_cast<float>(q[i]) * scale;
 }
 
-void
-fakeQuantize(Tensor &x, const QuantConfig &cfg, Rng *rng)
+namespace {
+
+/**
+ * x <- dequantize(quantize(x)) with round-to-nearest, in one pass and
+ * without the int32 buffer: each element takes the same nearbyint,
+ * clamp and int32 round trip (-0.0 -> +0.0; NaN -> INT32_MIN, then
+ * times scale) as quantize() followed by dequantize().
+ */
+[[gnu::always_inline]] inline void
+roundTripBody(float *x, std::size_t n, float scale, float inv, float qmax)
 {
+    for (std::size_t i = 0; i < n; ++i) {
+        const float r = std::clamp(std::nearbyint(x[i] * inv), -qmax, qmax);
+        x[i] = static_cast<float>(static_cast<std::int32_t>(r)) * scale;
+    }
+}
+
+/** roundTripBody at the baseline ISA: nearbyint is a libm call. */
+void
+roundTripBaseline(float *x, std::size_t n, float scale, float inv,
+                  float qmax)
+{
+    roundTripBody(x, n, scale, inv, qmax);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+/** roundTripBody with SSE4.1's roundps: the loop vectorises. */
+[[gnu::target("sse4.1")]] void
+roundTripSse41(float *x, std::size_t n, float scale, float inv, float qmax)
+{
+    roundTripBody(x, n, scale, inv, qmax);
+}
+#endif
+
+} // namespace
+
+namespace detail {
+
+RoundIsa
+roundHostIsa()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    static const RoundIsa isa = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("sse4.1") ? RoundIsa::Sse41
+                                                : RoundIsa::Baseline;
+    }();
+    return isa;
+#else
+    return RoundIsa::Baseline;
+#endif
+}
+
+void
+fakeQuantizeWithIsa(RoundIsa isa, Tensor &x, const QuantConfig &cfg,
+                    Rng *rng)
+{
+    SOCFLOW_ASSERT(isa == RoundIsa::Baseline || isa == roundHostIsa(),
+                   "rounding kernel build not supported on this host");
     const std::size_t n = x.numel();
     if (n == 0)
         return;
     const float scale = computeScale(x.data(), n, cfg.bits);
     if (scale == 0.0f)
         return;
-    std::vector<std::int32_t> q(n);
-    quantize(x.data(), n, scale, cfg, rng, q.data());
-    dequantize(q.data(), n, scale, x.data());
+    if (cfg.stochasticRounding && rng) {
+        std::vector<std::int32_t> q(n);
+        quantize(x.data(), n, scale, cfg, rng, q.data());
+        dequantize(q.data(), n, scale, x.data());
+        return;
+    }
+    const float inv = 1.0f / scale;
+    const auto qmax = static_cast<float>(quantMax(cfg.bits));
+#if defined(__x86_64__) || defined(__i386__)
+    if (isa == RoundIsa::Sse41) {
+        roundTripSse41(x.data(), n, scale, inv, qmax);
+        return;
+    }
+#endif
+    roundTripBaseline(x.data(), n, scale, inv, qmax);
+}
+
+} // namespace detail
+
+void
+fakeQuantize(Tensor &x, const QuantConfig &cfg, Rng *rng)
+{
+    detail::fakeQuantizeWithIsa(detail::roundHostIsa(), x, cfg, rng);
 }
 
 void

@@ -55,6 +55,28 @@ void dequantize(const std::int32_t *q, std::size_t n, float scale,
  */
 void fakeQuantize(Tensor &x, const QuantConfig &cfg, Rng *rng = nullptr);
 
+namespace detail {
+
+/**
+ * Builds of fakeQuantize()'s round-to-nearest pass. Both give
+ * bit-identical results; Sse41 rounds with roundps and exists only
+ * on x86.
+ */
+enum class RoundIsa { Baseline, Sse41 };
+
+/** The build fakeQuantize() runs on this host: Sse41 when it has it. */
+RoundIsa roundHostIsa();
+
+/**
+ * fakeQuantize() with its rounding build pinned to `isa`, so a test
+ * can run both builds on one host. `isa` must be Baseline or
+ * roundHostIsa().
+ */
+void fakeQuantizeWithIsa(RoundIsa isa, Tensor &x, const QuantConfig &cfg,
+                         Rng *rng);
+
+} // namespace detail
+
 /**
  * Integer GEMM with INT32 accumulation: C = A[m,k] * B[k,n].
  * Inputs are already-quantized INT8 values stored widened; the caller

@@ -34,35 +34,43 @@ fitMatrix(Tensor &t, std::size_t rows, std::size_t cols)
 
 // im2col/col2im over one sample's column slice of a matrix whose rows
 // are `ld` floats apart; the public forms are the ld == Ho*Wo case.
+//
+// im2col copies each channel into a zero-padded plane first (one per
+// thread, reused across calls), so every tap reads in bounds: a tap
+// row is a strided copy, a plain memcpy at stride 1. Every entry is
+// an input value's bits or the padding's +0.0f.
 void
 im2colLd(const float *x, std::size_t channels, std::size_t h,
          std::size_t w, const ConvGeom &g, float *out, std::size_t ld)
 {
     const std::size_t ho = convOutDim(h, g.kernel, g.stride, g.pad);
     const std::size_t wo = convOutDim(w, g.kernel, g.stride, g.pad);
+    const std::size_t hp = h + 2 * g.pad, wp = w + 2 * g.pad;
+    thread_local std::vector<float> padded;
+    // The border stays zero: every channel writes only the interior.
+    if (g.pad > 0)
+        padded.assign(hp * wp, 0.0f);
     std::size_t row = 0;
     for (std::size_t c = 0; c < channels; ++c) {
         const float *plane = x + c * h * w;
+        if (g.pad > 0) {
+            for (std::size_t y = 0; y < h; ++y)
+                std::memcpy(padded.data() + (y + g.pad) * wp + g.pad,
+                            plane + y * w, sizeof(float) * w);
+            plane = padded.data();
+        }
         for (std::size_t ky = 0; ky < g.kernel; ++ky) {
             for (std::size_t kx = 0; kx < g.kernel; ++kx, ++row) {
                 float *orow = out + row * ld;
                 for (std::size_t oy = 0; oy < ho; ++oy) {
-                    const std::ptrdiff_t iy =
-                        static_cast<std::ptrdiff_t>(oy * g.stride + ky) -
-                        static_cast<std::ptrdiff_t>(g.pad);
-                    for (std::size_t ox = 0; ox < wo; ++ox) {
-                        const std::ptrdiff_t ix =
-                            static_cast<std::ptrdiff_t>(ox * g.stride +
-                                                        kx) -
-                            static_cast<std::ptrdiff_t>(g.pad);
-                        float v = 0.0f;
-                        if (iy >= 0 &&
-                            iy < static_cast<std::ptrdiff_t>(h) &&
-                            ix >= 0 &&
-                            ix < static_cast<std::ptrdiff_t>(w)) {
-                            v = plane[iy * w + ix];
-                        }
-                        orow[oy * wo + ox] = v;
+                    const float *src =
+                        plane + (oy * g.stride + ky) * wp + kx;
+                    float *dst = orow + oy * wo;
+                    if (g.stride == 1) {
+                        std::memcpy(dst, src, sizeof(float) * wo);
+                    } else {
+                        for (std::size_t ox = 0; ox < wo; ++ox)
+                            dst[ox] = src[ox * g.stride];
                     }
                 }
             }
@@ -181,8 +189,8 @@ conv2dForward(const Tensor &x, const Tensor &weight, const ConvGeom &g,
 
     // Chunks write disjoint output slices, so they fan out bit-exactly;
     // each worker carries its own scratch. Nested use (a pool worker
-    // already running the per-group trainer step) stays serial via the
-    // inline guard.
+    // already running half of a trainer group step) stays serial via
+    // the inline guard.
     ThreadPool &pool = globalThreadPool();
     if (chunks > 1 && oc * krows * nb * cols >= kParConvWorkMin &&
         pool.size() > 1 && !ThreadPool::inWorkerThread()) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 
 #include "util/logging.hh"
@@ -268,11 +270,20 @@ reluBackward(const Tensor &x, const Tensor &grad_out, Tensor &grad_in)
     SOCFLOW_ASSERT(x.numel() == grad_out.numel() &&
                        x.numel() == grad_in.numel(),
                    "relu backward size mismatch");
+    // grad_in = x > 0 ? grad_out : +0.0f, as a branch-free select on
+    // the bits so the loop vectorises: an all-ones mask keeps
+    // grad_out's bits (NaN payloads and -0.0 included), an all-zeros
+    // mask gives +0.0f.
     const float *px = x.data();
     const float *pg = grad_out.data();
     float *po = grad_in.data();
-    for (std::size_t i = 0; i < x.numel(); ++i)
-        po[i] = px[i] > 0.0f ? pg[i] : 0.0f;
+    const std::size_t n = x.numel();
+    for (std::size_t i = 0; i < n; ++i) {
+        std::uint32_t g;
+        std::memcpy(&g, pg + i, sizeof(g));
+        g &= -static_cast<std::uint32_t>(px[i] > 0.0f);
+        std::memcpy(po + i, &g, sizeof(g));
+    }
 }
 
 void

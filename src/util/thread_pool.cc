@@ -1,6 +1,7 @@
 #include "util/thread_pool.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 
 namespace socflow {
@@ -78,15 +79,16 @@ ThreadPool::parallelFor(std::size_t n,
             fn(i);
         return;
     }
-    const std::size_t chunks = std::min(n, workers.size());
-    const std::size_t per = (n + chunks - 1) / chunks;
-    for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t begin = c * per;
-        const std::size_t end = std::min(n, begin + per);
-        if (begin >= end)
-            break;
-        submit([&fn, begin, end] {
-            for (std::size_t i = begin; i < end; ++i)
+    // One task per worker (at most n); each claims items one at a
+    // time from a shared counter, so uneven items balance across the
+    // workers instead of queueing behind a slow neighbour in a fixed
+    // block. Which worker runs an item never changes what it writes.
+    std::atomic<std::size_t> next{0};
+    const std::size_t tasks = std::min(n, workers.size());
+    for (std::size_t t = 0; t < tasks; ++t) {
+        submit([&fn, &next, n] {
+            for (std::size_t i = next.fetch_add(1); i < n;
+                 i = next.fetch_add(1))
                 fn(i);
         });
     }

@@ -2,8 +2,9 @@
  * @file
  * A minimal fixed-size thread pool with a parallel-for helper.
  *
- * The simulation core fans independent work items (per-group training
- * steps, GEMM row blocks, conv samples) across the pool. Callers are
+ * The simulation core fans independent work items (the FP32 and INT8
+ * halves of each group's training step, GEMM row blocks, conv
+ * samples) across the pool. Callers are
  * responsible for keeping results bit-reproducible regardless of pool
  * size: each parallel item must write disjoint outputs, and any
  * cross-item accumulation must be folded serially in a fixed order
@@ -63,10 +64,12 @@ class ThreadPool
 
     /**
      * Run fn(i) for i in [0, n) across the pool and block until all
-     * iterations complete. Iterations are distributed in contiguous
-     * blocks. Runs inline (serially) when n <= 1, when the pool has
-     * a single worker, or when called from inside a pool worker
-     * (nested-use guard). Rethrows the first task exception.
+     * iterations complete. Each of min(n, size()) workers claims
+     * iterations one at a time from a shared counter until none are
+     * left; the calling thread only waits. Runs inline (serially)
+     * when n <= 1, when the pool has a single worker, or when called
+     * from inside a pool worker (nested-use guard). Rethrows the
+     * first task exception.
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &fn);

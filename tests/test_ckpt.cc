@@ -185,6 +185,8 @@ TEST(CkptEnvelope, RoundTripsPayload)
     const auto payload = testBlob();
     const auto sealed = core::sealEnvelope(ckpt::kReplicaMagic, payload);
     EXPECT_EQ(core::openEnvelope(ckpt::kReplicaMagic, sealed), payload);
+    EXPECT_TRUE(core::envelopeIntact(ckpt::kReplicaMagic, sealed));
+    EXPECT_FALSE(core::envelopeIntact(ckpt::kManifestMagic, sealed));
 }
 
 TEST(CkptEnvelope, EmptyPayloadRoundTrips)
@@ -213,6 +215,8 @@ TEST(CkptEnvelope, EverySingleByteCorruptionIsDetected)
                          core::CheckpointError)
                 << "byte " << i << " bit " << bit
                 << " flipped but the envelope still opened";
+            EXPECT_FALSE(core::envelopeIntact(ckpt::kReplicaMagic, bad))
+                << "byte " << i << " bit " << bit;
         }
     }
 }
@@ -229,6 +233,8 @@ TEST(CkptEnvelope, EveryTruncationIsDetected)
         EXPECT_THROW(core::openEnvelope(ckpt::kReplicaMagic, cut),
                      core::CheckpointError)
             << "truncated to " << len << " bytes but still opened";
+        EXPECT_FALSE(core::envelopeIntact(ckpt::kReplicaMagic, cut))
+            << "truncated to " << len << " bytes";
     }
 }
 

@@ -10,7 +10,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
+#include <thread>
 
 #include "tensor/conv.hh"
 #include "tensor/ops.hh"
@@ -479,5 +481,71 @@ INSTANTIATE_TEST_SUITE_P(
              << p.k << "_s" << p.stride;
         return name.str();
     });
+
+/**
+ * Values a bounds-tested copy must pass through bit for bit: signed
+ * zeros, NaN, infinities and denormals, between ordinary values.
+ */
+std::vector<float>
+specialValues(std::size_t n, std::uint64_t seed)
+{
+    const float kinds[] = {-0.0f,
+                           0.0f,
+                           std::numeric_limits<float>::quiet_NaN(),
+                           -std::numeric_limits<float>::infinity(),
+                           std::numeric_limits<float>::infinity(),
+                           std::numeric_limits<float>::denorm_min(),
+                           -1e-40f};
+    Rng rng(seed);
+    std::vector<float> v(n);
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] = i % 3 == 0 ? kinds[rng.uniformInt(std::size(kinds))]
+                          : static_cast<float>(rng.gaussian());
+    return v;
+}
+
+TEST(Im2Col, BitExactWithBoundsTestedLoopOnSpecialValues)
+{
+    // The LeNet census shapes, VGG's 3x3 tails, unpadded and strided
+    // cases, and pad >= kernel/2 edges. The shapes run largest first
+    // and again in reverse, so each call's per-thread padded plane
+    // holds a previous shape's values where its own border must read
+    // zero; the worker run checks a second thread's plane.
+    const DiffCase cases[] = {
+        {1, 12, 6, 5, 1, 2},  // LeNet conv1
+        {6, 6, 16, 5, 1, 2},  // LeNet conv2
+        {32, 3, 64, 3, 1, 1}, // VGG 3x3 tail
+        {64, 1, 64, 3, 1, 1}, // VGG 1x1 tail
+        {3, 9, 4, 3, 2, 1},   // stride 2
+        {2, 7, 1, 3, 1, 0},   // no padding
+        {2, 8, 1, 2, 3, 0},   // stride > kernel
+        {1, 5, 1, 3, 2, 3},   // all-padding taps
+    };
+    const auto runAll = [&](int pass) {
+        for (std::size_t ci = 0; ci < std::size(cases); ++ci) {
+            const DiffCase &p =
+                cases[pass % 2 ? std::size(cases) - 1 - ci : ci];
+            const ConvGeom g{p.c, p.outC, p.k, p.stride, p.pad};
+            const std::size_t cols =
+                convOutDim(p.h, p.k, p.stride, p.pad) *
+                convOutDim(p.h, p.k, p.stride, p.pad);
+            const std::size_t size = p.c * p.k * p.k * cols;
+            const auto x = specialValues(p.c * p.h * p.h, p.c + p.h + pass);
+            std::vector<float> got(size, 1.0f), want(size, 2.0f);
+            im2col(x.data(), p.c, p.h, p.h, g, got.data());
+            refIm2col(x.data(), p.c, p.h, p.h, g, want.data());
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  sizeof(float) * size),
+                      0)
+                << "c=" << p.c << " hw=" << p.h << " k=" << p.k
+                << " s=" << p.stride << " pad=" << p.pad
+                << " pass=" << pass;
+        }
+    };
+    runAll(0);
+    runAll(1);
+    std::thread worker([&] { runAll(2); });
+    worker.join();
+}
 
 } // namespace

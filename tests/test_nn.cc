@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "nn/layers.hh"
 #include "nn/model.hh"
@@ -394,4 +395,103 @@ TEST(Sgd, TrainingReducesLossOnToyProblem)
         sgd.step();
     }
     EXPECT_LT(lossN, loss0 * 0.5);
+}
+
+// ------------------------------------------- skipped input gradient
+
+namespace {
+
+bool
+sameGradBits(Layer &a, Layer &b)
+{
+    const auto pa = a.params(), pb = b.params();
+    if (pa.size() != pb.size())
+        return false;
+    for (std::size_t i = 0; i < pa.size(); ++i)
+        if (pa[i]->grad.numel() != pb[i]->grad.numel() ||
+            std::memcmp(pa[i]->grad.data(), pb[i]->grad.data(),
+                        sizeof(float) * pa[i]->grad.numel()) != 0)
+            return false;
+    return true;
+}
+
+/** LeNet-5's layer stack on 1x12x12 inputs (a Conv2D first). */
+std::unique_ptr<Sequential>
+lenetStack(Rng &rng)
+{
+    auto net = std::make_unique<Sequential>();
+    net->add(std::make_unique<Conv2D>(tensor::ConvGeom{1, 6, 5, 1, 2}, rng));
+    net->add(std::make_unique<ReLU>());
+    net->add(std::make_unique<MaxPool2D>(2, 2));
+    net->add(std::make_unique<Conv2D>(tensor::ConvGeom{6, 16, 5, 1, 2}, rng));
+    net->add(std::make_unique<ReLU>());
+    net->add(std::make_unique<MaxPool2D>(2, 2));
+    net->add(std::make_unique<Flatten>());
+    net->add(std::make_unique<Dense>(16 * 3 * 3, 10, rng));
+    return net;
+}
+
+} // namespace
+
+TEST(BackwardParams, FirstLayerGradsMatchFullBackward)
+{
+    // A Conv2D-first stack, a Dense-first stack, and each layer alone:
+    // skipping the first layer's input gradient must leave every
+    // weight and bias gradient bit-identical, accumulation included.
+    Rng rng(21);
+    std::vector<std::pair<std::unique_ptr<Layer>, Tensor>> cases;
+    cases.emplace_back(lenetStack(rng), Tensor::randn({9, 1, 12, 12}, rng));
+    auto mlp = std::make_unique<Sequential>();
+    mlp->add(std::make_unique<Dense>(7, 5, rng));
+    mlp->add(std::make_unique<ReLU>());
+    mlp->add(std::make_unique<Dense>(5, 3, rng));
+    cases.emplace_back(std::move(mlp), Tensor::randn({6, 7}, rng));
+    cases.emplace_back(
+        std::make_unique<Conv2D>(tensor::ConvGeom{3, 4, 3, 2, 1}, rng),
+        Tensor::randn({5, 3, 7, 7}, rng));
+    cases.emplace_back(std::make_unique<Dense>(4, 6, rng),
+                       Tensor::randn({3, 4}, rng));
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        Layer &full = *cases[c].first;
+        const Tensor &x = cases[c].second;
+        const auto skip = full.clone();
+        for (Layer *l : {&full, skip.get()})
+            for (Param *p : l->params())
+                p->grad.fill(0.25f); // accumulate onto nonzero grads
+        const Tensor out = full.forward(x, true);
+        skip->forward(x, true);
+        const Tensor gradOut = Tensor::randn(out.shape(), rng);
+        const Tensor gradIn = full.backward(gradOut);
+        EXPECT_EQ(gradIn.shape(), x.shape());
+        skip->backwardParams(gradOut);
+        EXPECT_TRUE(sameGradBits(full, *skip)) << "case " << c;
+    }
+}
+
+TEST(BackwardParams, ModelTrainStepMatchesFullBackward)
+{
+    // Model::trainStep skips the input gradient; its parameter
+    // gradients equal a forward + softmax-CE + full backward by hand.
+    Rng rng(22);
+    auto net = lenetStack(rng);
+    Model model("lenet", net->clone());
+    const Tensor x = Tensor::randn({8, 1, 12, 12}, rng);
+    const std::vector<int> labels = {0, 1, 2, 3, 4, 5, 6, 7};
+    model.zeroGrad();
+    model.trainStep(x, labels);
+
+    for (Param *p : net->params())
+        p->grad.zero();
+    const Tensor out = net->forward(x, true);
+    Tensor probs(out.shape()), gradLogits(out.shape());
+    tensor::softmaxCrossEntropy(out, labels, probs, gradLogits);
+    net->backward(gradLogits);
+
+    const auto mp = model.params(), np = net->params();
+    ASSERT_EQ(mp.size(), np.size());
+    for (std::size_t i = 0; i < mp.size(); ++i)
+        EXPECT_EQ(std::memcmp(mp[i]->grad.data(), np[i]->grad.data(),
+                              sizeof(float) * mp[i]->grad.numel()),
+                  0)
+            << mp[i]->name << " (param " << i << ")";
 }

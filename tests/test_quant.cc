@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "nn/zoo.hh"
 #include "quant/int8_trainer.hh"
@@ -100,6 +104,149 @@ TEST(Quantize, FakeQuantizeIdempotentDeterministic)
     fakeQuantize(twice, cfg);
     // Already-quantized values land on the same grid.
     EXPECT_LT(once.maxAbsDiff(twice), 1e-6);
+}
+
+namespace {
+
+/**
+ * fakeQuantize's round-to-nearest path as it was: quantize into an
+ * int32 buffer, then dequantize. The one-pass kernel must match it
+ * bit for bit.
+ */
+void
+twoPassFakeQuantize(Tensor &x, int bits)
+{
+    const std::size_t n = x.numel();
+    const float scale = computeScale(x.data(), n, bits);
+    if (scale == 0.0f)
+        return;
+    const int qmax = quantMax(bits);
+    const float inv = 1.0f / scale;
+    std::vector<std::int32_t> q(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        float r = std::nearbyint(x[i] * inv);
+        r = std::clamp(r, static_cast<float>(-qmax),
+                       static_cast<float>(qmax));
+        q[i] = static_cast<std::int32_t>(r);
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        x[i] = static_cast<float>(q[i]) * scale;
+}
+
+/**
+ * Inputs for the differential: ordinary values, exact grid ties
+ * (k + 0.5 steps, where round-half-even matters), values that round
+ * to -0.0, denormals and NaN; `withInf` adds infinities, which turn
+ * the scale infinite.
+ */
+Tensor
+roundingInputs(std::size_t n, bool withInf, std::uint64_t seed)
+{
+    Rng rng(seed);
+    Tensor t = Tensor::randn({n}, rng);
+    const float step = 3.0f / 127.0f;
+    t[0] = 3.0f; // fixes the 8-bit scale at `step`
+    for (std::size_t i = 1; i < n; ++i) {
+        switch (i % 8) {
+        case 1:
+            t[i] = (static_cast<float>(rng.uniformInt(200)) - 100.5f) *
+                   step;
+            break;
+        case 2:
+            t[i] = -0.001f * step;
+            break;
+        case 3:
+            t[i] = i % 16 == 3 ? -0.0f : 0.0f;
+            break;
+        case 4:
+            t[i] = (i % 16 == 4 ? -1.0f : 1.0f) *
+                   std::numeric_limits<float>::denorm_min() *
+                   static_cast<float>(1 + rng.uniformInt(1000));
+            break;
+        case 5:
+            t[i] = i % 16 == 5 ? std::numeric_limits<float>::quiet_NaN()
+                               : t[i];
+            break;
+        case 6:
+            if (withInf)
+                t[i] = (i % 16 == 6 ? -1.0f : 1.0f) *
+                       std::numeric_limits<float>::infinity();
+            break;
+        default:
+            break;
+        }
+    }
+    return t;
+}
+
+} // namespace
+
+TEST(Quantize, FakeQuantizeBitExactWithTwoPassLoop)
+{
+    std::vector<detail::RoundIsa> isas = {detail::RoundIsa::Baseline};
+    if (detail::roundHostIsa() != detail::RoundIsa::Baseline)
+        isas.push_back(detail::roundHostIsa());
+    for (const detail::RoundIsa isa : isas)
+        for (int bits : {4, 8, 16})
+            for (bool withInf : {false, true})
+                for (std::size_t n : {std::size_t{1}, std::size_t{37},
+                                      std::size_t{1024}}) {
+                    Tensor got = roundingInputs(n, withInf, n + bits);
+                    Tensor want = got;
+                    QuantConfig cfg;
+                    cfg.bits = bits;
+                    cfg.stochasticRounding = false;
+                    detail::fakeQuantizeWithIsa(isa, got, cfg, nullptr);
+                    twoPassFakeQuantize(want, bits);
+                    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                          sizeof(float) * n),
+                              0)
+                        << "isa=" << static_cast<int>(isa)
+                        << " bits=" << bits << " inf=" << withInf
+                        << " n=" << n;
+                }
+}
+
+TEST(Quantize, FakeQuantizeNegativeZeroBecomesPositive)
+{
+    // -0.0 rounds to the int32 0, which dequantizes to +0.0.
+    Tensor t = Tensor::fromValues({3}, {1.0f, -0.0f, -1e-6f});
+    QuantConfig cfg;
+    cfg.stochasticRounding = false;
+    fakeQuantize(t, cfg);
+    EXPECT_FALSE(std::signbit(t[1]));
+    EXPECT_FALSE(std::signbit(t[2]));
+}
+
+TEST(Quantize, FakeQuantizeStochasticPathUnchanged)
+{
+    // With an Rng the stochastic path still quantizes then dequantizes,
+    // drawing one uniform per element in order.
+    Rng data(11);
+    const Tensor t = Tensor::randn({257}, data);
+    QuantConfig cfg;
+    Rng a(99), b(99);
+    Tensor got = t;
+    fakeQuantize(got, cfg, &a);
+    Tensor want = t;
+    const float scale = computeScale(want.data(), want.numel(), cfg.bits);
+    std::vector<std::int32_t> q(want.numel());
+    quantize(want.data(), want.numel(), scale, cfg, &b, q.data());
+    dequantize(q.data(), q.size(), scale, want.data());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          sizeof(float) * want.numel()),
+              0);
+    EXPECT_EQ(a.uniform(), b.uniform()); // same number of draws
+}
+
+TEST(Quantize, RoundHostIsaIsAvailableBuild)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    EXPECT_EQ(detail::roundHostIsa() == detail::RoundIsa::Sse41,
+              __builtin_cpu_supports("sse4.1") != 0);
+#else
+    EXPECT_EQ(detail::roundHostIsa(), detail::RoundIsa::Baseline);
+#endif
 }
 
 TEST(Quantize, FakeQuantizeZeroTensorNoop)

@@ -374,6 +374,38 @@ TEST(Elementwise, ReLUForwardBackward)
     EXPECT_EQ(gi[2], 1.0f);
 }
 
+TEST(Elementwise, ReLUBackwardBitExactWithBranchingLoop)
+{
+    // Special values on both sides: x decides the mask (NaN, -0.0 and
+    // -denormals are not > 0), grad_out's bits must pass unchanged.
+    const float specials[] = {-0.0f,
+                              0.0f,
+                              std::numeric_limits<float>::quiet_NaN(),
+                              -std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              std::numeric_limits<float>::denorm_min(),
+                              -std::numeric_limits<float>::denorm_min(),
+                              1.0f,
+                              -2.5f};
+    constexpr std::size_t ns = std::size(specials);
+    // Every (x, grad) pair, then a ragged length for the vector tail.
+    for (std::size_t n : {ns * ns, std::size_t{37}}) {
+        Tensor x({n}), g({n}), got({n}), want({n});
+        for (std::size_t i = 0; i < n; ++i) {
+            x[i] = specials[i % ns];
+            g[i] = specials[(i / ns + i) % ns];
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            want[i] = x[i] > 0.0f ? g[i] : 0.0f; // the old loop
+        got.fill(1.0f);
+        reluBackward(x, g, got);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * n),
+                  0)
+            << "n=" << n;
+    }
+}
+
 TEST(Elementwise, BiasRows)
 {
     Tensor x = Tensor::fromValues({2, 2}, {0, 0, 0, 0});

@@ -1,12 +1,14 @@
 /**
  * @file
  * Direct unit coverage for util::ThreadPool: parallelFor boundary
- * cases, exception propagation out of submitted tasks, the nested-use
+ * cases, one-at-a-time item claiming under uneven item costs,
+ * exception propagation out of submitted tasks, the nested-use
  * deadlock guard, global-pool resizing, and a contention stress test
  * sized so TSan has real interleavings to chew on.
  */
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
@@ -50,6 +52,80 @@ TEST(ThreadPool, ParallelForSingleItemRunsInline)
     std::thread::id ran_on;
     pool.parallelFor(1, [&](std::size_t) { ran_on = std::this_thread::get_id(); });
     EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ThreadPool, ParallelForClaimsItemsOneAtATime)
+{
+    // Item 0 holds its worker until every other item has finished.
+    // Under contiguous blocks items 1..3 would queue behind it on the
+    // same worker and never finish; claimed one at a time, the other
+    // workers drain them. The deadline only bounds a failing run.
+    ThreadPool pool(4);
+    constexpr std::size_t n = 16;
+    std::vector<std::atomic<int>> hits(n);
+    std::atomic<std::size_t> done{0};
+    bool othersFinished = false;
+    pool.parallelFor(n, [&](std::size_t i) {
+        ++hits[i];
+        if (i == 0) {
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(20);
+            while (done.load() < n - 1 &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
+            othersFinished = done.load() == n - 1;
+        } else {
+            ++done;
+        }
+    });
+    EXPECT_TRUE(othersFinished);
+    for (auto &h : hits)
+        EXPECT_EQ(h.load(), 1); // every item exactly once
+}
+
+TEST(ThreadPool, UnevenItemsRunExactlyOnce)
+{
+    // Costs vary 1..40 units by item: claims interleave across workers
+    // in a run-dependent order, but each item still runs once.
+    ThreadPool pool(3);
+    for (std::size_t n : {2u, 5u, 64u, 257u}) {
+        std::vector<std::atomic<int>> hits(n);
+        pool.parallelFor(n, [&](std::size_t i) {
+            volatile std::uint64_t sink = 0;
+            for (std::size_t k = 0; k < 1000 * (1 + (i * 7919) % 40); ++k)
+                sink = sink + k;
+            ++hits[i];
+        });
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " item " << i;
+    }
+}
+
+TEST(ThreadPool, FirstExceptionWinsUnderUnevenItems)
+{
+    // Item 1 throws at once; item 6 throws only well after that, once
+    // item 1's exception has been captured. The first one surfaces.
+    ThreadPool pool(4);
+    std::atomic<bool> firstThrown{false};
+    try {
+        pool.parallelFor(8, [&](std::size_t i) {
+            if (i == 1) {
+                firstThrown = true;
+                throw std::runtime_error("first");
+            }
+            if (i == 6) {
+                while (!firstThrown.load())
+                    std::this_thread::yield();
+                std::this_thread::sleep_for(std::chrono::milliseconds(100));
+                throw std::logic_error("second");
+            }
+        });
+        FAIL() << "expected throw";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "first");
+    } catch (const std::logic_error &e) {
+        FAIL() << "a later exception won: " << e.what();
+    }
 }
 
 TEST(ThreadPool, SubmitExceptionPropagatesFromWait)
@@ -108,6 +184,30 @@ TEST(ThreadPool, NestedParallelForRunsInlineNoDeadlock)
     });
     EXPECT_EQ(inner_total.load(), 32);
     EXPECT_EQ(inner_on_worker.load(), 32); // inline on the same worker
+}
+
+TEST(ThreadPool, NestedCallRunsInlineOnTheClaimingWorker)
+{
+    // Uneven outer items, each with a nested fan-out: every inner item
+    // runs inline, in order, on the worker that claimed the outer one.
+    ThreadPool pool(3);
+    constexpr std::size_t n = 9;
+    std::vector<int> sameThread(n, 0), inOrder(n, 0);
+    pool.parallelFor(n, [&](std::size_t i) {
+        const auto me = std::this_thread::get_id();
+        std::size_t expect = 0;
+        bool same = true, ordered = true;
+        pool.parallelFor(4 + i, [&](std::size_t j) {
+            same = same && std::this_thread::get_id() == me;
+            ordered = ordered && j == expect++;
+        });
+        sameThread[i] = same && expect == 4 + i;
+        inOrder[i] = ordered;
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_TRUE(sameThread[i]) << "outer item " << i;
+        EXPECT_TRUE(inOrder[i]) << "outer item " << i;
+    }
 }
 
 TEST(ThreadPool, InWorkerThreadFalseOnCaller)

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <set>
 
+#include "util/hash.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
@@ -264,6 +265,58 @@ TEST(Format, Bytes)
     EXPECT_EQ(formatBytes(100), "100B");
     EXPECT_EQ(formatBytes(2048), "2.0KiB");
     EXPECT_EQ(formatBytes(3.5 * 1024 * 1024), "3.5MiB");
+}
+
+// ---------------------------------------------------------------- crc32
+
+namespace {
+
+/** The nibble-at-a-time CRC-32 crc32() used before its 8-byte slices. */
+std::uint32_t
+nibbleCrc32(const unsigned char *p, std::size_t len)
+{
+    std::uint32_t table[16];
+    for (std::uint32_t i = 0; i < 16; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 4; ++k)
+            c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        table[i] = c;
+    }
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < len; ++i) {
+        c = table[(c ^ p[i]) & 0x0Fu] ^ (c >> 4);
+        c = table[(c ^ (p[i] >> 4)) & 0x0Fu] ^ (c >> 4);
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+} // namespace
+
+TEST(Crc32, KnownAnswers)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(crc32("", 0), 0u);
+    EXPECT_EQ(crc32("a", 1), 0xE8B7BE43u);
+}
+
+TEST(Crc32, MatchesNibbleLoopOnEveryLengthAndAlignment)
+{
+    // Lengths 0..80 cover the byte tail alone, whole 8-byte slices and
+    // both together; the offsets start the slices off alignment.
+    Rng rng(32);
+    std::vector<unsigned char> buf(96);
+    for (auto &b : buf)
+        b = static_cast<unsigned char>(rng.uniformInt(256));
+    for (std::size_t off = 0; off < 8; ++off)
+        for (std::size_t len = 0; off + len <= 88; ++len)
+            ASSERT_EQ(crc32(buf.data() + off, len),
+                      nibbleCrc32(buf.data() + off, len))
+                << "off=" << off << " len=" << len;
+    std::vector<unsigned char> big(1 << 16);
+    for (auto &b : big)
+        b = static_cast<unsigned char>(rng.uniformInt(256));
+    EXPECT_EQ(crc32(big.data(), big.size()),
+              nibbleCrc32(big.data(), big.size()));
 }
 
 // ----------------------------------------------------------- ThreadPool
