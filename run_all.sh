@@ -69,6 +69,10 @@
 #               names nothing in src/, bench/, tests/, examples/ or
 #               benchmark/ (registered as the docs_check ctest)
 cd "$(dirname "$0")" || exit 1
+# Outputs land in this checkout; builds use at most 4 jobs, as
+# benchmark/run.sh does.
+root="$(pwd)"
+jobs=4
 
 chaos_targets="test_fault test_fault_step test_obs_stream test_membership test_parallel_determinism test_fleet_topology test_ps test_profiler test_ckpt"
 chaos_regex='test_(fault($|_step)|obs_stream$|membership$|parallel_determinism$|fleet_topology$|ps$|profiler$|ckpt$)'
@@ -85,7 +89,7 @@ run_chaos_seed() {
 
 if [ "$1" = "--chaos" ]; then
     cmake -B build-asan -S . -DSANITIZE=ON || exit 1
-    cmake --build build-asan -j --target $chaos_targets || exit 1
+    cmake --build build-asan -j $jobs --target $chaos_targets || exit 1
     status=0
     for seed in 11 42 137 271 828 1729 2024 31337 65537 99991; do
         echo "== chaos seed $seed =="
@@ -105,15 +109,15 @@ fi
 if [ "$1" = "--chaos-nightly" ]; then
     count=${2:-10}
     cmake -B build-asan -S . -DSANITIZE=ON || exit 1
-    cmake --build build-asan -j --target $chaos_targets || exit 1
+    cmake --build build-asan -j $jobs --target $chaos_targets || exit 1
     status=0
     for i in $(seq 1 "$count"); do
         seed=$(( (RANDOM << 15 | RANDOM) + 1 ))
-        dump=/root/repo/build-asan/postmortem_seed${seed}.json
+        dump=$root/build-asan/postmortem_seed${seed}.json
         echo "== chaos-nightly seed $seed ($i/$count) =="
         if ! run_chaos_seed $seed "$dump"; then
             echo "CHAOS_SEED_FAILED seed=$seed dump=$dump"
-            echo "seed=$seed dump=$dump" >> /root/repo/chaos_failures.txt
+            echo "seed=$seed dump=$dump" >> "$root/chaos_failures.txt"
             status=1
         fi
     done
@@ -128,23 +132,23 @@ fi
 if [ "$1" = "--tsan" ]; then
     tsan_targets="test_obs_stream test_membership test_thread_pool test_parallel_determinism test_ps test_profiler test_ckpt test_conv test_tensor test_quant test_nn"
     cmake -B build-tsan -S . -DSANITIZE=thread || exit 1
-    cmake --build build-tsan -j --target $tsan_targets || exit 1
+    cmake --build build-tsan -j $jobs --target $tsan_targets || exit 1
     ( set -o pipefail
       TSAN_OPTIONS=halt_on_error=1 \
           ctest --test-dir build-tsan --output-on-failure \
               -R 'test_(obs_stream|membership|thread_pool|parallel_determinism|ps|profiler|ckpt|conv|tensor|quant|nn)$' 2>&1 |
-          tee /root/repo/tsan_output.txt ) || exit 1
+          tee "$root/tsan_output.txt" ) || exit 1
     echo "TSAN_RUN_COMPLETE"
     exit 0
 fi
 
 if [ "$1" = "--bench" ]; then
-    tag=${2:-$(git -C /root/repo rev-parse --short HEAD 2>/dev/null || echo local)}
+    tag=${2:-$(git -C "$root" rev-parse --short HEAD 2>/dev/null || echo local)}
     cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release || exit 1
-    cmake --build build-rel -j \
+    cmake --build build-rel -j $jobs \
         --target bench_e2e_throughput fig10_scalability || exit 1
-    out=/root/repo/BENCH_${tag}.json
-    baseline=/root/repo/BENCH_baseline.json
+    out=$root/BENCH_${tag}.json
+    baseline=$root/BENCH_baseline.json
     baseline_arg=""
     [ -f "$baseline" ] && baseline_arg="--baseline=$baseline"
     if ! ./build-rel/bench/bench_e2e_throughput \
@@ -154,7 +158,7 @@ if [ "$1" = "--bench" ]; then
     fi
     ./build-rel/bench/fig10_scalability || exit 1
     cmake -S benchmark -B build-bench -DCMAKE_BUILD_TYPE=Release || exit 1
-    cmake --build build-bench -j || exit 1
+    cmake --build build-bench -j $jobs || exit 1
     ctest --test-dir build-bench --output-on-failure || exit 1
     echo "BENCH_RUN_COMPLETE (wrote $out)"
     exit 0
@@ -162,14 +166,14 @@ fi
 
 if [ "$1" = "--profile" ]; then
     cmake -B build -S . || exit 1
-    cmake --build build -j --target test_profiler harvest_day \
+    cmake --build build -j $jobs --target test_profiler harvest_day \
         fig12_breakdown || exit 1
     # Unit + integration conservation/attribution suite.
     ctest --test-dir build --output-on-failure \
         -R 'test_profiler$' || exit 1
     # Profiled harvest day: the perf-doctor JSON must certify the
     # conservation invariant held for every epoch of the day.
-    prof_json=/root/repo/build/profile_harvest.json
+    prof_json=$root/build/profile_harvest.json
     ./build/examples/harvest_day \
         --profile-out "$prof_json" > build/profile_on.txt || exit 1
     if ! grep -q '"conservation_ok":true' "$prof_json"; then
@@ -198,7 +202,7 @@ fi
 
 if [ "$1" = "--crash-restart" ]; then
     cmake -B build -S . || exit 1
-    cmake --build build -j --target test_ckpt test_checkpoint \
+    cmake --build build -j $jobs --target test_ckpt test_checkpoint \
         test_parallel_determinism crash_restart || exit 1
     # Unit layer: placement, envelope/manifest fuzz, quorum restore,
     # rack-survival of acked writes.
@@ -269,10 +273,10 @@ fi
 
 if [ "$1" = "--sanitize" ]; then
     cmake -B build-asan -S . -DSANITIZE=ON || exit 1
-    cmake --build build-asan -j || exit 1
+    cmake --build build-asan -j $jobs || exit 1
     ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
         ctest --test-dir build-asan --output-on-failure 2>&1 |
-        tee /root/repo/sanitize_output.txt
+        tee "$root/sanitize_output.txt"
     # Exercise the streaming sink + NDJSON series end to end under
     # the sanitizers (tiny rotation limit forces several segments).
     ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
@@ -285,6 +289,6 @@ if [ "$1" = "--sanitize" ]; then
 fi
 
 rm -rf .bench_cache
-ctest --test-dir build 2>&1 | tee /root/repo/test_output.txt
-for b in build/bench/*; do $b; done 2>&1 | tee /root/repo/bench_output.txt
+ctest --test-dir build 2>&1 | tee "$root/test_output.txt"
+for b in build/bench/*; do $b; done 2>&1 | tee "$root/bench_output.txt"
 echo "ALL_RUNS_COMPLETE"

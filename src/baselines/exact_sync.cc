@@ -69,8 +69,7 @@ ExactSyncTrainer::runEpoch()
     const double syncS = syncSecondsPerBatch();
     const double updateS = compute.updateSeconds(profile);
 
-    double lossSum = 0.0, accSum = 0.0;
-    std::size_t sampleSum = 0;
+    core::TrainSums sums;
     double cpuSocSeconds = 0.0;
     double commSocSeconds = 0.0;
 
@@ -82,20 +81,15 @@ ExactSyncTrainer::runEpoch()
         transformGradients();
         sgd->step();
 
-        lossSum += r.loss * static_cast<double>(r.samples);
-        accSum += r.accuracy * static_cast<double>(r.samples);
-        sampleSum += r.samples;
+        sums.add(r);
 
         const double computeS = computeSecondsPerBatch(idx.size());
         rec.computeSeconds += computeS;
         rec.syncSeconds += syncS;
         rec.updateSeconds += updateS;
-        double stepWallS;
-        if (overlapsCompute()) {
-            stepWallS = std::max(computeS, syncS) + updateS;
-        } else {
-            stepWallS = computeS + syncS + updateS;
-        }
+        const core::StepTimeline tl{computeS, syncS, updateS,
+                                    overlapsCompute()};
+        const double stepWallS = tl.wallS();
         rec.simSeconds += stepWallS;
         stepCtr.add(1.0);
         stepSyncHist.observe(syncS);
@@ -104,8 +98,7 @@ ExactSyncTrainer::runEpoch()
             tr.recordSpan("compute", "compute",
                           obs::kTrackGroupBase, t0, computeS * f);
             tr.recordSpan("sync", "comm", obs::kTrackComm,
-                          overlapsCompute() ? t0 : t0 + computeS * f,
-                          syncS * f);
+                          tl.syncStart(t0, f), syncS * f);
             tr.recordSpan("step", "control", obs::kTrackControl, t0,
                           stepWallS * f);
         }
@@ -134,8 +127,7 @@ ExactSyncTrainer::runEpoch()
     meter.fillIdle(totalSocSeconds, busySocSeconds);
 
     rec.energyJoules = meter.totalJoules();
-    rec.trainLoss = sampleSum ? lossSum / sampleSum : 0.0;
-    rec.trainAcc = sampleSum ? accSum / sampleSum : 0.0;
+    sums.fill(rec);
     sgd->decayLearningRate();
     return rec;
 }

@@ -63,8 +63,7 @@ FedAvgTrainer::runEpoch()
     core::EpochRecord rec;
     sim::EnergyMeter meter;
 
-    double lossSum = 0.0, accSum = 0.0;
-    std::size_t sampleSum = 0;
+    core::TrainSums sums;
     std::size_t maxShard = 0;
 
     for (auto &clientPtr : clients) {
@@ -87,9 +86,7 @@ FedAvgTrainer::runEpoch()
                 client.model.zeroGrad();
                 nn::StepResult r = client.model.trainStep(x, y);
                 client.sgd->step();
-                lossSum += r.loss * static_cast<double>(r.samples);
-                accSum += r.accuracy * static_cast<double>(r.samples);
-                sampleSum += r.samples;
+                sums.add(r);
             }
         }
     }
@@ -133,7 +130,7 @@ FedAvgTrainer::runEpoch()
     rec.simSeconds = rec.computeSeconds + cachedSyncS;
 
     const double cpuSocSeconds =
-        static_cast<double>(sampleSum) * profile.cpuMsPerSample * f /
+        static_cast<double>(sums.samples) * profile.cpuMsPerSample * f /
         1000.0;
     meter.accumulate(sim::PowerState::CpuTrain, cpuSocSeconds);
     meter.accumulate(sim::PowerState::Comm, cachedSyncS, cfg.numSocs);
@@ -143,8 +140,7 @@ FedAvgTrainer::runEpoch()
         cpuSocSeconds + cachedSyncS * static_cast<double>(cfg.numSocs);
     meter.fillIdle(totalSocSeconds, busySocSeconds);
     rec.energyJoules = meter.totalJoules();
-    rec.trainLoss = sampleSum ? lossSum / sampleSum : 0.0;
-    rec.trainAcc = sampleSum ? accSum / sampleSum : 0.0;
+    sums.fill(rec);
     currentLr *= cfg.sgd.lrDecayPerEpoch;
     return rec;
 }

@@ -53,8 +53,7 @@ LocalTrainer::runEpoch()
 
     data::BatchIterator it(bundle.train.size(), cfg.globalBatch,
                            rng.split());
-    double lossSum = 0.0, accSum = 0.0;
-    std::size_t sampleSum = 0;
+    core::TrainSums sums;
 
     while (!it.epochDone()) {
         const auto idx = it.next();
@@ -67,9 +66,7 @@ LocalTrainer::runEpoch()
             r = model.trainStep(x, y);
             sgd->step();
         }
-        lossSum += r.loss * static_cast<double>(r.samples);
-        accSum += r.accuracy * static_cast<double>(r.samples);
-        sampleSum += r.samples;
+        sums.add(r);
 
         const double stepS =
             compute.batchSeconds(profile, device, idx.size());
@@ -93,8 +90,7 @@ LocalTrainer::runEpoch()
     rec.updateSeconds *= f;
     rec.simSeconds *= f;
     rec.energyJoules = meter.totalJoules() * f;
-    rec.trainLoss = sampleSum ? lossSum / sampleSum : 0.0;
-    rec.trainAcc = sampleSum ? accSum / sampleSum : 0.0;
+    sums.fill(rec);
     if (sgd)
         sgd->decayLearningRate();
     else

@@ -49,32 +49,12 @@ SspTrainer::runEpoch()
     if (faults) {
         const auto fired = faults->advanceTo(epochIdx);
         for (const fault::FaultSpec &s : fired) {
-            timeline.mix(static_cast<std::uint64_t>(s.kind));
-            timeline.mix(static_cast<std::uint64_t>(s.epoch));
-            timeline.mix(static_cast<std::uint64_t>(s.step));
-            timeline.mix(static_cast<std::uint64_t>(s.soc));
-            switch (s.kind) {
-              case fault::FaultKind::SocCrash:
-              case fault::FaultKind::SocCrashMidWave:
-              case fault::FaultKind::LeaderCrash:
-              case fault::FaultKind::PsServerCrash:
-                ++rec.crashes;
-                rec.recoverySeconds += engine.syncPolicy().timeoutS;
-                break;
-              case fault::FaultKind::BoardPartition:
-              case fault::FaultKind::SwitchPartition:
-                ++rec.partitions;
-                break;
-              case fault::FaultKind::SocRejoin:
-                ++rec.rejoins;
-                // The rejoiner lost its snapshot: force a pull
-                // before its next gradient.
-                if (s.soc < workers.size())
-                    workers[s.soc].sincePull = bound + 1;
-                break;
-              default:
-                break;
-            }
+            timeline.mixAll(s.kind, s.epoch, s.step, s.soc);
+            // The rejoiner lost its snapshot: force a pull before its
+            // next gradient.
+            if (core::countFault(s, rec, engine.syncPolicy().timeoutS) &&
+                s.soc < workers.size())
+                workers[s.soc].sincePull = bound + 1;
         }
         const bool serverDown =
             !faults->socAlive(kServerSoc) ||
@@ -91,8 +71,7 @@ SspTrainer::runEpoch()
         if (serverDown || activeIdx.empty()) {
             rec.paused = true;
             rec.simSeconds = engine.syncPolicy().timeoutS;
-            timeline.mix(static_cast<std::uint64_t>(0xDEADBEA7ULL));
-            timeline.mix(static_cast<std::uint64_t>(epochIdx));
+            timeline.mixAll(0xDEADBEA7ULL, epochIdx);
             ++epochIdx;
             return rec;
         }
@@ -104,8 +83,7 @@ SspTrainer::runEpoch()
 
     data::BatchIterator it(bundle.train.size(), cfg.globalBatch,
                            rng.split());
-    double lossSum = 0.0, accSum = 0.0;
-    std::size_t sampleSum = 0;
+    core::TrainSums sums;
     std::size_t steps = 0;
 
     while (!it.epochDone()) {
@@ -136,9 +114,7 @@ SspTrainer::runEpoch()
 
         ++w.sincePull;
 
-        lossSum += r.loss * static_cast<double>(r.samples);
-        accSum += r.accuracy * static_cast<double>(r.samples);
-        sampleSum += r.samples;
+        sums.add(r);
         ++steps;
     }
 
@@ -186,14 +162,10 @@ SspTrainer::runEpoch()
                         syncS * static_cast<double>(nActive);
     meter.fillIdle(totalSocSeconds, busy);
     rec.energyJoules = meter.totalJoules();
-    rec.trainLoss = sampleSum ? lossSum / sampleSum : 0.0;
-    rec.trainAcc = sampleSum ? accSum / sampleSum : 0.0;
+    sums.fill(rec);
     sgd->decayLearningRate();
 
-    timeline.mix(static_cast<std::uint64_t>(epochIdx));
-    timeline.mix(static_cast<std::uint64_t>(steps));
-    timeline.mix(rec.simSeconds);
-    timeline.mix(rec.trainLoss);
+    timeline.mixAll(epochIdx, steps, rec.simSeconds, rec.trainLoss);
     ++epochIdx;
     return rec;
 }

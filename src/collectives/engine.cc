@@ -75,21 +75,14 @@ recordCollective(const char *op, const CommStats &stats,
  * Chunk-integrity accounting shared by the checked and resume paths.
  */
 struct ChunkMetrics {
-    obs::Counter &corruptDetected;
-    obs::Counter &retransmitted;
-    obs::Counter &resumed;
-    obs::Counter &syncFailures;
-    ChunkMetrics()
-        : corruptDetected(
-              obs::metrics().counter("grad_corrupt_detected_total")),
-          retransmitted(
-              obs::metrics().counter("chunks_retransmitted_total")),
-          resumed(obs::metrics().counter("chunks_resumed_total")),
-          syncFailures(obs::metrics().counter(
-              "collective_sync_failures_total",
-              {{"reason", "corrupt_retry_exhausted"}}))
-    {
-    }
+    obs::Counter &corruptDetected =
+        obs::metrics().counter("grad_corrupt_detected_total");
+    obs::Counter &retransmitted =
+        obs::metrics().counter("chunks_retransmitted_total");
+    obs::Counter &resumed = obs::metrics().counter("chunks_resumed_total");
+    obs::Counter &syncFailures =
+        obs::metrics().counter("collective_sync_failures_total",
+                               {{"reason", "corrupt_retry_exhausted"}});
 };
 
 ChunkMetrics &
@@ -324,36 +317,30 @@ CollectiveEngine::treeAggregate(const std::vector<sim::SocId> &nodes,
     if (n <= 1 || bytes <= 0.0)
         return stats;
 
-    // Reduce levels: pair (i, i + stride) sends child -> parent.
-    for (std::size_t stride = 1; stride < n; stride *= 2) {
-        std::vector<sim::FlowSpec> flows;
-        for (std::size_t i = 0; i + stride < n; i += 2 * stride) {
-            flows.push_back(
-                transfer(nodes[i + stride], nodes[i], bytes));
-        }
+    // One tree level: its transfers run concurrently in one round.
+    const auto level = [&](const std::vector<sim::FlowSpec> &flows) {
         if (flows.empty())
-            continue;
+            return;
         stats.seconds += clusterRef.network().makespan(flows) +
                          clusterRef.roundOverheadS(2 * flows.size());
         stats.wireBytes += bytes * static_cast<double>(flows.size());
         ++stats.rounds;
+    };
+    // Reduce levels: pair (i, i + stride) sends child -> parent.
+    std::vector<std::size_t> strides;
+    for (std::size_t stride = 1; stride < n; stride *= 2) {
+        strides.push_back(stride);
+        std::vector<sim::FlowSpec> flows;
+        for (std::size_t i = 0; i + stride < n; i += 2 * stride)
+            flows.push_back(transfer(nodes[i + stride], nodes[i], bytes));
+        level(flows);
     }
     // Broadcast levels mirror the reduce levels, downward.
-    std::vector<std::size_t> strides;
-    for (std::size_t stride = 1; stride < n; stride *= 2)
-        strides.push_back(stride);
     for (auto it = strides.rbegin(); it != strides.rend(); ++it) {
         std::vector<sim::FlowSpec> flows;
-        for (std::size_t i = 0; i + *it < n; i += 2 * (*it)) {
-            flows.push_back(
-                transfer(nodes[i], nodes[i + *it], bytes));
-        }
-        if (flows.empty())
-            continue;
-        stats.seconds += clusterRef.network().makespan(flows) +
-                         clusterRef.roundOverheadS(2 * flows.size());
-        stats.wireBytes += bytes * static_cast<double>(flows.size());
-        ++stats.rounds;
+        for (std::size_t i = 0; i + *it < n; i += 2 * (*it))
+            flows.push_back(transfer(nodes[i], nodes[i + *it], bytes));
+        level(flows);
     }
     recordCollective("tree", stats, clusterRef.network().captureActive());
     return stats;

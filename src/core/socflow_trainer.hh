@@ -12,34 +12,18 @@
  *    SoC, alpha/beta-controlled batch split, Eq. 5 weight merge);
  *  - underclocking-aware workload rebalancing;
  *  - checkpointing with group-granular preemption;
- *  - crash resilience: abrupt SoC loss (fault/fault.hh) re-maps the
- *    survivor set integrity-greedily, restores the crashed group from
- *    the leaders' consensus weights (momentum is lost), and re-runs
- *    CG planning;
- *  - step-granular faults: the trainer drives the injector's
- *    {epoch, step, phase} clock through every compute/wave boundary.
- *    A SoC dying *mid-wave* resumes the in-flight AllReduce from the
- *    last acked chunk on the survivor ring (group state, momentum
- *    included, is preserved); corrupted gradient chunks are caught by
- *    CRC32 tags and retransmitted under the SyncPolicy budget, with
- *    exhaustion surfacing as a typed SyncError (the poisoned update
- *    is dropped, never silently applied); a crashed *leader* triggers
- *    deterministic re-election (highest surviving SoC id in the
- *    group) and re-forms the leader ring mid-epoch. Every fired
- *    fault and recovery is folded into a deterministic timeline hash
- *    for replay checking (same seed => same hash);
- *  - partition-tolerant membership (membership/membership.hh): a
- *    phi-accrual failure detector fed by per-step heartbeats on the
- *    simulated clock, board/switch partitions resolved by the quorum
- *    rule (majority side re-maps and trains on, minority groups pause
- *    with state preserved; no quorum = the whole epoch pauses), a
- *    monotonic group generation carried in every collective with
- *    stale-generation fencing (a healed minority can never commit
- *    weights -- no split-brain double-aggregation), and a rejoin
- *    protocol that restores returning SoCs from the leaders'
- *    consensus weights, re-runs mapGroupsOnto + CG planning on the
- *    live membership, and asserts the Theorem 1/2 invariants still
- *    hold.
+ *  - fault and membership recovery (the inject*() and handler docs
+ *    below; DESIGN.md "Failure model"): crash, mid-wave and leader
+ *    crash recovery on the {epoch, step, phase} fault clock, CRC-
+ *    checked gradient chunks, phi-accrual failure detection, the
+ *    partition quorum rule with generation fencing, and rejoin; every
+ *    fired fault and recovery folds into a deterministic timeline
+ *    hash (same seed => same hash).
+ *
+ * Sources: socflow_trainer.cc (boot, resize, checkpoints),
+ * socflow_epoch.cc (the runEpoch phases), socflow_recovery.cc (fault
+ * dispatch, recovery and membership edits); sync_pricer.hh prices the
+ * syncs.
  *
  * The *math* (SGD, quantization, averaging) is executed for real on
  * scaled models; wall-clock and energy are those the calibrated
@@ -57,7 +41,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -69,6 +52,7 @@
 #include "core/comm_plan.hh"
 #include "core/mapping.hh"
 #include "core/mixed_precision.hh"
+#include "core/sync_pricer.hh"
 #include "core/train_common.hh"
 #include "data/dataset.hh"
 #include "nn/sgd.hh"
@@ -153,16 +137,11 @@ class SoCFlowTrainer : public DistTrainer
     /** Number of communication groups the planner chose. */
     std::size_t numCommGroups() const { return plan.numCommGroups; }
 
+    /** The memoized sync prices of the active groups. */
+    const SyncPricer &syncPricer() const { return pricer; }
+
     /** Number of currently active logical groups. */
     std::size_t activeGroups() const { return groups.size(); }
-
-    /**
-     * Preempt one logical group (its SoCs return to user workloads).
-     * The group's shard is redistributed next epoch; training
-     * continues on the remaining groups. Preempting the last group
-     * is a user error.
-     */
-    void preemptGroup(std::size_t group_index);
 
     /**
      * Resize the active group set to `n` (1 <= n <= the configured
@@ -370,12 +349,13 @@ class SoCFlowTrainer : public DistTrainer
         std::size_t steps = 0;
         std::vector<std::vector<std::size_t>> shards;
         std::vector<std::size_t> cursor;
-        double lossSum = 0.0, accSum = 0.0;
-        std::size_t sampleSum = 0;
+        TrainSums train;
         double cpuSocS = 0.0, npuSocS = 0.0, commSocS = 0.0; //!< energy
         // The current step (written by runGroupStep, read by chargeStep).
         double stepSync = 0.0, t0 = 0.0, stepComputeS = 0.0;
-        std::vector<double> profWaves; //!< wave layout of stepSync
+        /** Wave layout of stepSync, snapshot before a wave-phase fault
+         *  can re-price the topology. */
+        std::vector<double> waves;
         std::vector<GroupStepOut> outs;
     };
 
@@ -396,54 +376,10 @@ class SoCFlowTrainer : public DistTrainer
      *  counter and the timeline. */
     void closeEpoch(EpochRun &ep, EpochRecord &rec);
 
-    /** Profiler spans and critical-path attribution of one step. */
-    void profileStep(EpochRun &ep, double step_wall_s);
-
-    /** Fold a flow capture into the epoch's per-resource usage. */
-    void foldCapture(const sim::FlowCapture &cap, double scale);
-
-    /** Intra-group sync seconds for one step across all groups. */
-    double stepSyncSeconds() const;
-
-    /** Cross-group (per-epoch) aggregation seconds. */
-    double epochSyncSeconds() const;
-
-    /** Price one step's intra-group sync (CG waves, or every ring at
-     *  once); behind both the memoized cost and the capture replay. */
-    SyncSchedule priceStepSync() const;
-
-    /** Price the leader aggregation plus the slowest in-group
-     *  broadcast (epochSyncSeconds adds the data shuffle). */
-    double priceLeaderSync() const;
-
-    /** Drop the memoized sync costs and the profiler capture. */
-    void invalidateSyncCaches();
-
-    /** Leader-ring aggregation seconds over the given leaders: a flat
-     *  ring on a single rack (the pre-fleet path, bit for bit), the
-     *  three-tier hierarchy -- per-rack leader rings into a cluster
-     *  ring over rack representatives -- on a multi-rack fleet. */
-    double leaderAggregateSeconds(std::vector<sim::SocId> leaders) const;
-
     /** Profile alpha on the validation slice. */
     void profileAlpha();
 
-    /**
-     * Profiler support: replay the memoized sync cost queries (step
-     * waves + epoch aggregation) with a sim::FlowCapture armed on the
-     * cluster network, filling profStepCap/profEpochCap with
-     * per-resource busy/bytes/binding attribution. A pure accounting
-     * replay of const cost queries -- no timing, cache, RNG, or
-     * timeline state changes (obs/profiler.hh zero-perturbation
-     * contract). Re-run whenever the sync caches are invalidated.
-     */
-    void captureSyncAttribution() const;
-
-    /** Install the model's (layer name, parameter count) table into
-     *  the profiler once per trainer (latest registrant wins). */
-    void registerProfilerLayers();
-
-    /** Rebuild mapping/plan after a preemption. */
+    /** Mirror the groups into mapping, re-plan, drop the sync memo. */
     void rebuildTopology();
 
     /** Boot state shared by the constructor and rebuildAllGroups:
@@ -453,27 +389,12 @@ class SoCFlowTrainer : public DistTrainer
     /** Bump the generation and stamp every active group current. */
     void bumpGeneration();
 
-    /** Recovery events accumulated into the current EpochRecord. */
-    struct RecoveryTally {
-        std::size_t crashes = 0;
-        std::size_t waveResumes = 0;
-        std::size_t leaderElections = 0;
-        std::size_t gradCorruptDetected = 0;
-        std::size_t chunksRetransmitted = 0;
-        std::size_t syncFailures = 0;
-        std::size_t partitions = 0;
-        std::size_t rejoins = 0;
-        double recoverySeconds = 0.0;
-    };
-
     /** A group parked on the minority side of a partition. */
     struct PausedGroup {
         std::unique_ptr<GroupState> state;
         /** Generation the group last synced under (stale once the
          *  majority bumps; its replayed traffic gets fenced). */
         std::uint64_t staleGeneration = 0;
-        /** Sim-clock instant the partition cut it off. */
-        double pausedAtS = 0.0;
     };
 
     /** React to a BoardPartition/SwitchPartition spec: split the live
@@ -546,6 +467,45 @@ class SoCFlowTrainer : public DistTrainer
      *  when the SoC is idle/unmapped). */
     std::size_t owningGroup(sim::SocId soc) const;
 
+    // Membership edits shared by the recovery handlers
+    // (socflow_recovery.cc).
+
+    /** Call fn(soc) for every member of an active group that has not
+     *  crashed, in group order. */
+    template <class Fn>
+    void forEachLiveMember(Fn &&fn) const
+    {
+        for (const auto &g : groups)
+            for (sim::SocId s : g->socs)
+                if (!deadSocs.count(s))
+                    fn(s);
+    }
+
+    /** Drop `soc` from group `gi`, and the group once it is empty;
+     *  emptying the last group is fatal (`how` says how it died).
+     *  @return true when the group was dropped. */
+    bool dropMember(std::size_t gi, sim::SocId soc, const char *how);
+
+    /** The group whose weights restore group `gi`. */
+    std::size_t donorFor(std::size_t gi) const
+    {
+        return (gi == 0 && groups.size() > 1) ? 1 : 0;
+    }
+
+    /** Every active group's leader, in group order. */
+    std::vector<sim::SocId> leaderRing() const;
+
+    /** Rejoin catch-up: the first group's leader broadcasts the
+     *  current weights and generation to `soc`, which joins that
+     *  group; then endIsolation(soc, down_s).
+     *  @return the broadcast seconds. */
+    double catchUp(sim::SocId soc, double &down_s);
+
+    /** End `soc`'s isolation: `down_s` gets its time since the cut,
+     *  which the rejoin digest observes (both untouched when it was
+     *  never cut). */
+    void endIsolation(sim::SocId soc, double &down_s);
+
     SoCFlowConfig cfg;
     const data::DataBundle &bundle;
     const sim::ModelProfile &profile;
@@ -558,6 +518,7 @@ class SoCFlowTrainer : public DistTrainer
     Mapping fullMapping;  //!< as configured, before any preemption
     Mapping mapping;      //!< currently active groups
     CommPlan plan;
+    SyncPricer pricer;    //!< prices mapping under plan
     MixedPrecisionController mpc;
 
     /**
@@ -597,27 +558,12 @@ class SoCFlowTrainer : public DistTrainer
     /** Cached per-group collective-latency sketches (leader fan-in);
      *  refreshed when the group count changes. */
     std::vector<obs::TDigest *> groupDigests;
-    /** Recovery events since the last epoch record was cut. */
-    RecoveryTally tally;
+    /** Recovery events since the last epoch record was cut (only its
+     *  recovery fields are used). */
+    EpochRecord tally;
     /** Deterministic digest of the fault/recovery timeline. */
     Fnv1a64 timeline;
 
-    // Cached per-step sync costs (topology-dependent only; reset by
-    // invalidateSyncCaches). Mutable: they memoize const cost queries.
-    mutable double cachedStepSyncS = -1.0;
-    mutable double cachedEpochSyncS = -1.0;
-    /** Per-wave breakdown matching cachedStepSyncS (trace layout). */
-    mutable std::vector<double> cachedWaveS;
-
-    // Profiler attribution state (obs/profiler.hh). The captures
-    // memoize the replayed sync cost attribution alongside the cost
-    // caches above and share their invalidation points.
-    /** True while profStepCap/profEpochCap match the sync caches. */
-    mutable bool profCaptureValid = false;
-    /** Per-resource attribution of one step's sync waves. */
-    mutable sim::FlowCapture profStepCap;
-    /** Per-resource attribution of the epoch aggregation. */
-    mutable sim::FlowCapture profEpochCap;
     /** Layer table pushed to the profiler (once per trainer). */
     bool profLayersRegistered = false;
     /** Current epoch's accumulated per-resource usage (paper scale). */

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "obs/metrics.hh"
+#include "obs/profiler.hh"
 #include "obs/trace.hh"
 
 namespace socflow {
@@ -75,6 +76,29 @@ TrainResult::reached(double target) const
     return false;
 }
 
+bool
+countFault(const fault::FaultSpec &s, EpochRecord &rec, double timeout_s)
+{
+    switch (s.kind) {
+      case fault::FaultKind::SocCrash:
+      case fault::FaultKind::SocCrashMidWave:
+      case fault::FaultKind::LeaderCrash:
+      case fault::FaultKind::PsServerCrash:
+        ++rec.crashes;
+        rec.recoverySeconds += timeout_s;
+        return false;
+      case fault::FaultKind::BoardPartition:
+      case fault::FaultKind::SwitchPartition:
+        ++rec.partitions;
+        return false;
+      case fault::FaultKind::SocRejoin:
+        ++rec.rejoins;
+        return true;
+      default:
+        return false;
+    }
+}
+
 nn::Model
 buildInitialModel(const std::string &family, const nn::NetSpec &spec,
                   std::uint64_t seed, const std::vector<float> *initial)
@@ -121,6 +145,76 @@ testAccuracy(nn::Model &model, const data::Dataset &test)
             return static_cast<std::size_t>(
                 std::lround(r.accuracy * static_cast<double>(r.samples)));
         });
+}
+
+void
+profileCompute(std::size_t slot, double t0, double compute_s,
+               double slowest_s)
+{
+    obs::Profiler &prof = obs::profiler();
+    if (compute_s > 0.0) {
+        prof.addSpan(slot, obs::Phase::Forward, t0, t0 + compute_s / 3.0);
+        prof.addSpan(slot, obs::Phase::Backward, t0 + compute_s / 3.0,
+                     t0 + compute_s);
+    }
+    if (compute_s < slowest_s)
+        prof.addSpan(slot, obs::Phase::Stall, t0 + compute_s,
+                     t0 + slowest_s);
+}
+
+void
+profileStep(const StepTimeline &tl, std::size_t slot, double t0,
+            double f, const std::vector<double> &segments,
+            const SyncPhases &phases)
+{
+    obs::Profiler &prof = obs::profiler();
+    const double end = tl.forEachWave(
+        segments, t0, f, [&](std::size_t w, double t, double d) {
+            prof.addSpan(slot, w == 0 ? phases.first : phases.later, t,
+                         t + d);
+        });
+    const double windowEnd = tl.syncStart(t0, f) + tl.syncS * f;
+    if (end < windowEnd)
+        prof.addSpan(slot, phases.residual, end, windowEnd);
+    prof.addSpan(slot, obs::Phase::Update, tl.updateStart(t0, f),
+                 t0 + tl.wallS() * f);
+
+    const double computeS = tl.computeS * f;
+    const double syncS = tl.syncS * f;
+    prof.noteStepWindows(computeS, syncS, tl.overlap);
+    if (!tl.overlap) {
+        prof.attributeCritical("compute", computeS, computeS);
+        prof.attributeCommCritical(syncS, syncS);
+    } else if (computeS >= syncS) {
+        prof.attributeCritical("compute", computeS, computeS - syncS);
+    } else {
+        prof.attributeCommCritical(syncS, syncS - computeS);
+    }
+    prof.attributeCritical("optimizer", tl.updateS * f, tl.updateS * f);
+}
+
+void
+profileRecovery(std::size_t slot, double t0, double seconds, bool paused)
+{
+    if (seconds <= 0.0 && !paused)
+        return;
+    obs::profiler().addSpan(slot,
+                            paused ? obs::Phase::Paused
+                                   : obs::Phase::Recovery,
+                            t0, t0 + seconds);
+    obs::profiler().attributeCritical("fault-recovery", seconds, seconds);
+}
+
+void
+registerProfilerLayers(nn::Model &model, bool &registered)
+{
+    if (registered)
+        return;
+    std::vector<std::pair<std::string, std::size_t>> table;
+    for (const nn::Param *p : model.params())
+        table.emplace_back(p->name, p->value.numel());
+    obs::profiler().registerLayers(table);
+    registered = true;
 }
 
 TrainResult

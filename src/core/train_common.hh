@@ -17,12 +17,15 @@
  *  - testAccuracy() / chunkedAccuracy(): held-out accuracy,
  *    evaluated 256 samples at a time;
  *  - sim::EnergyMeter::fillIdle() (sim/energy.hh): idle energy for
- *    the SoC-seconds an epoch left unused.
+ *    the SoC-seconds an epoch left unused;
+ *  - StepTimeline and the profile*() helpers: one step's layout on
+ *    the simulated timeline, for trace spans and profiler spans alike.
  */
 
 #ifndef SOCFLOW_CORE_TRAIN_COMMON_HH
 #define SOCFLOW_CORE_TRAIN_COMMON_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -30,7 +33,9 @@
 #include <vector>
 
 #include "data/dataset.hh"
+#include "fault/fault.hh"
 #include "nn/zoo.hh"
+#include "obs/profiler.hh"
 #include "sim/cluster.hh"
 
 namespace socflow {
@@ -78,6 +83,34 @@ struct EpochRecord {
      */
     bool powerLost = false;
 };
+
+/** Sample-weighted sums of an epoch's train loss and accuracy. */
+struct TrainSums {
+    double loss = 0.0, acc = 0.0;
+    std::size_t samples = 0;
+
+    void add(const nn::StepResult &r)
+    {
+        loss += r.loss * static_cast<double>(r.samples);
+        acc += r.accuracy * static_cast<double>(r.samples);
+        samples += r.samples;
+    }
+    /** The means into rec.trainLoss and rec.trainAcc (0 when empty). */
+    void fill(EpochRecord &rec) const
+    {
+        rec.trainLoss = samples ? loss / samples : 0.0;
+        rec.trainAcc = samples ? acc / samples : 0.0;
+    }
+};
+
+/**
+ * Count fired fault `s` into `rec` the way the trainers without a
+ * recovery path of their own do (sharded PS, SSP): a crash costs one
+ * sync timeout `timeout_s`, partitions and rejoins are counted.
+ * @return true for a SocRejoin (the caller drops the SoC's snapshot).
+ */
+bool countFault(const fault::FaultSpec &s, EpochRecord &rec,
+                double timeout_s);
 
 /** A whole training run. */
 struct TrainResult {
@@ -144,6 +177,84 @@ double chunkedAccuracy(const data::Dataset &test,
 
 /** Fraction of `test` that `model` classifies correctly. */
 double testAccuracy(nn::Model &model, const data::Dataset &test);
+
+/**
+ * One training step on the simulated timeline. Every group computes
+ * at once (computeS is the slowest); the sync waves run after compute,
+ * or beside it under overlap; the optimizer update comes last.
+ * Seconds are unscaled: `f` maps them onto a timeline on which the
+ * step starts at `t0`.
+ */
+struct StepTimeline {
+    double computeS = 0.0;
+    double syncS = 0.0;
+    double updateS = 0.0;
+    bool overlap = false;
+
+    /** The update follows max(compute, sync) under overlap, their
+     *  sum otherwise. */
+    double wallS() const
+    {
+        return overlap ? std::max(computeS, syncS) + updateS
+                       : computeS + syncS + updateS;
+    }
+    double syncStart(double t0, double f) const
+    {
+        return overlap ? t0 : t0 + computeS * f;
+    }
+    double updateStart(double t0, double f) const
+    {
+        return t0 + (wallS() - updateS) * f;
+    }
+
+    /** Lay `waves` end to end from syncStart(), calling
+     *  fn(wave, start, seconds) for each; returns where they end. */
+    template <class Fn>
+    double forEachWave(const std::vector<double> &waves, double t0,
+                       double f, Fn &&fn) const
+    {
+        double t = syncStart(t0, f);
+        for (std::size_t w = 0; w < waves.size(); ++w) {
+            fn(w, t, waves[w] * f);
+            t += waves[w] * f;
+        }
+        return t;
+    }
+};
+
+/** Profiler phases of a sync window: its first segment, the later
+ *  ones, and the residual they leave short of the window. */
+struct SyncPhases {
+    obs::Phase first, later, residual;
+};
+
+/** Profiler spans of one slot's compute from `t0`: forward is the
+ *  first third, backward the rest, then a stall until `slowest_s`
+ *  (the slowest slot's compute). */
+void profileCompute(std::size_t slot, double t0, double compute_s,
+                    double slowest_s);
+
+/**
+ * Profiler spans and critical path of `tl` from `t0` on `slot`: the
+ * `segments` tile the sync window (the residual guard absorbs
+ * rounding and a mid-step re-price), then the update; under overlap
+ * the longer of compute and sync binds and relieving it saves the
+ * excess, without overlap both windows are fully critical; the
+ * update is charged to the optimizer.
+ */
+void profileStep(const StepTimeline &tl, std::size_t slot, double t0,
+                 double f, const std::vector<double> &segments,
+                 const SyncPhases &phases);
+
+/** Profiler span and critical-path charge of `seconds` of fault
+ *  recovery (or of a pause) from `t0` on `slot`; nothing for no
+ *  recovery. */
+void profileRecovery(std::size_t slot, double t0, double seconds,
+                     bool paused);
+
+/** Hand `model`'s (layer name, parameter count) table to the profiler
+ *  once: a no-op when `registered` is set, which it then sets. */
+void registerProfilerLayers(nn::Model &model, bool &registered);
 
 /**
  * Drive a trainer until `target_acc` is reached (checked every

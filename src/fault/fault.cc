@@ -40,18 +40,29 @@ obs::Counter &
 partitionCounter(FaultKind k)
 {
     struct Counters {
-        obs::Counter &board;
-        obs::Counter &sw;
-        Counters()
-            : board(obs::metrics().counter("partition_total",
-                                           {{"kind", "board"}})),
-              sw(obs::metrics().counter("partition_total",
-                                        {{"kind", "switch"}}))
-        {
-        }
+        obs::Counter &board =
+            obs::metrics().counter("partition_total", {{"kind", "board"}});
+        obs::Counter &sw =
+            obs::metrics().counter("partition_total", {{"kind", "switch"}});
     };
     static Counters c;
     return k == FaultKind::BoardPartition ? c.board : c.sw;
+}
+
+/** Smallest factor of the `windows` on `key` still open at `epoch`
+ *  (1 when none is). */
+template <class Windows>
+double
+openFactor(const Windows &windows, typename Windows::key_type key,
+           std::size_t epoch)
+{
+    double f = 1.0;
+    auto [lo, hi] = windows.equal_range(key);
+    for (auto it = lo; it != hi; ++it) {
+        if (it->second.untilEpoch > epoch)
+            f = std::min(f, it->second.factor);
+    }
+    return f;
 }
 
 } // namespace
@@ -130,89 +141,62 @@ FaultPlan::random(const FaultPlanConfig &cfg)
     };
 
     FaultPlan plan;
-    for (std::size_t i = 0; i < cfg.crashes; ++i) {
-        FaultSpec s;
-        s.kind = FaultKind::SocCrash;
-        s.epoch = pickEpoch();
-        s.soc = rng.uniformInt(cfg.numSocs);
-        plan.add(s);
-    }
-    for (std::size_t i = 0; i < cfg.linkDegrades; ++i) {
-        FaultSpec s;
-        s.kind = FaultKind::LinkDegrade;
-        s.epoch = pickEpoch();
+    // `n` specs of `kind`: each draws its epoch, then fill() the rest.
+    const auto draw = [&](std::size_t n, FaultKind kind, auto fill) {
+        for (std::size_t i = 0; i < n; ++i) {
+            FaultSpec s;
+            s.kind = kind;
+            s.epoch = pickEpoch();
+            fill(s);
+            plan.add(s);
+        }
+    };
+    draw(cfg.crashes, FaultKind::SocCrash,
+         [&](FaultSpec &s) { s.soc = rng.uniformInt(cfg.numSocs); });
+    draw(cfg.linkDegrades, FaultKind::LinkDegrade, [&](FaultSpec &s) {
         s.board = rng.uniformInt(numBoards);
         s.factor = cfg.linkFactor;
         s.durationEpochs = cfg.windowEpochs;
-        plan.add(s);
-    }
-    for (std::size_t i = 0; i < cfg.stragglers; ++i) {
-        FaultSpec s;
-        s.kind = FaultKind::Straggler;
-        s.epoch = pickEpoch();
+    });
+    draw(cfg.stragglers, FaultKind::Straggler, [&](FaultSpec &s) {
         s.soc = rng.uniformInt(cfg.numSocs);
         s.factor = cfg.stragglerFactor;
         s.durationEpochs = cfg.windowEpochs;
-        plan.add(s);
-    }
-    for (std::size_t i = 0; i < cfg.checkpointFailures; ++i) {
-        FaultSpec s;
-        s.kind = FaultKind::CheckpointFail;
-        s.epoch = pickEpoch();
+    });
+    draw(cfg.checkpointFailures, FaultKind::CheckpointFail, [&](FaultSpec &s) {
         s.phase = FaultPhase::Checkpoint;
         s.count = cfg.checkpointFailBurst;
-        plan.add(s);
-    }
-    for (std::size_t i = 0; i < cfg.midWaveCrashes; ++i) {
-        FaultSpec s;
-        s.kind = FaultKind::SocCrashMidWave;
-        s.epoch = pickEpoch();
+    });
+    draw(cfg.midWaveCrashes, FaultKind::SocCrashMidWave, [&](FaultSpec &s) {
         s.step = pickStep();
         s.phase = rng.bernoulli(0.5) ? FaultPhase::Wave1
                                      : FaultPhase::Wave2;
         s.soc = rng.uniformInt(cfg.numSocs);
         s.progress = 0.25 + 0.5 * rng.uniform();
-        plan.add(s);
-    }
-    for (std::size_t i = 0; i < cfg.gradCorrupts; ++i) {
-        FaultSpec s;
-        s.kind = FaultKind::GradCorrupt;
-        s.epoch = pickEpoch();
+    });
+    draw(cfg.gradCorrupts, FaultKind::GradCorrupt, [&](FaultSpec &s) {
         s.step = pickStep();
         s.phase = rng.bernoulli(0.5) ? FaultPhase::Wave1
                                      : FaultPhase::Wave2;
         s.soc = rng.uniformInt(cfg.numSocs);
         s.count = cfg.gradCorruptBurst;
-        plan.add(s);
-    }
-    for (std::size_t i = 0; i < cfg.leaderCrashes; ++i) {
-        FaultSpec s;
-        s.kind = FaultKind::LeaderCrash;
-        s.epoch = pickEpoch();
+    });
+    draw(cfg.leaderCrashes, FaultKind::LeaderCrash, [&](FaultSpec &s) {
         s.step = pickStep();
         s.phase = FaultPhase::LeaderRing;
         s.soc = rng.uniformInt(cfg.numSocs);
-        plan.add(s);
-    }
-    for (std::size_t i = 0; i < cfg.boardPartitions; ++i) {
-        FaultSpec s;
-        s.kind = FaultKind::BoardPartition;
-        s.epoch = pickEpoch();
+    });
+    draw(cfg.boardPartitions, FaultKind::BoardPartition, [&](FaultSpec &s) {
         s.board = rng.uniformInt(numBoards);
         s.durationEpochs = cfg.partitionWindowEpochs;
-        plan.add(s);
-    }
-    for (std::size_t i = 0; i < cfg.switchPartitions; ++i) {
-        FaultSpec s;
-        s.kind = FaultKind::SwitchPartition;
-        s.epoch = pickEpoch();
+    });
+    draw(cfg.switchPartitions, FaultKind::SwitchPartition, [&](FaultSpec &s) {
         const std::size_t span =
             std::min(cfg.switchPartitionBoards, numBoards);
         s.board = rng.uniformInt(numBoards - span + 1);
         s.count = span;
         s.durationEpochs = cfg.partitionWindowEpochs;
-        plan.add(s);
-    }
+    });
     // Rack cuts: SwitchPartitions aligned to rack boundaries so one
     // whole rack of the fleet drops off the core at a time. Needs at
     // least two full racks -- cutting the only rack cuts everyone and
@@ -230,35 +214,23 @@ FaultPlan::random(const FaultPlanConfig &cfg)
     // plans replay byte-identically.
     const std::size_t serverPool = std::min(
         std::max<std::size_t>(cfg.psShards, 1), numBoards);
-    for (std::size_t i = 0; i < cfg.psServerCrashes; ++i) {
-        FaultSpec s;
-        s.kind = FaultKind::PsServerCrash;
-        s.epoch = pickEpoch();
+    draw(cfg.psServerCrashes, FaultKind::PsServerCrash, [&](FaultSpec &s) {
         s.step = pickStep();
         s.soc = rng.uniformInt(serverPool) * cfg.socsPerBoard;
-        plan.add(s);
-    }
+    });
     // Rack power losses land mid-epoch (random step, Compute phase)
     // on a random rack; `rackPowerLossRacks` >= the fleet's rack
     // count makes the loss fleet-wide. Both loops draw nothing when
     // their count is zero, so existing seeded plans stay
     // byte-identical.
-    for (std::size_t i = 0; i < cfg.rackPowerLosses; ++i) {
-        FaultSpec s;
-        s.kind = FaultKind::RackPowerLoss;
-        s.epoch = pickEpoch();
+    draw(cfg.rackPowerLosses, FaultKind::RackPowerLoss, [&](FaultSpec &s) {
         s.step = pickStep();
         s.board = rng.uniformInt(std::max<std::size_t>(cfg.numRacks, 1));
         s.count = std::max<std::size_t>(cfg.rackPowerLossRacks, 1);
-        plan.add(s);
-    }
-    for (std::size_t i = 0; i < cfg.ckptReplicaLosses; ++i) {
-        FaultSpec s;
-        s.kind = FaultKind::CkptReplicaLoss;
-        s.epoch = pickEpoch();
+    });
+    draw(cfg.ckptReplicaLosses, FaultKind::CkptReplicaLoss, [&](FaultSpec &s) {
         s.count = std::max<std::size_t>(cfg.ckptReplicaLossBurst, 1);
-        plan.add(s);
-    }
+    });
     // Rejoins target SoCs the plan has already crashed (when it has
     // any), landing strictly after the crash so the comeback is real.
     std::vector<FaultSpec> crashes;
@@ -449,25 +421,13 @@ FaultInjector::socAlive(sim::SocId soc) const
 double
 FaultInjector::computeFactor(sim::SocId soc) const
 {
-    double f = 1.0;
-    auto [lo, hi] = slow.equal_range(soc);
-    for (auto it = lo; it != hi; ++it) {
-        if (it->second.untilEpoch > clock.epoch)
-            f = std::min(f, it->second.factor);
-    }
-    return f;
+    return openFactor(slow, soc, clock.epoch);
 }
 
 double
 FaultInjector::linkFactor(sim::BoardId board) const
 {
-    double f = 1.0;
-    auto [lo, hi] = degraded.equal_range(board);
-    for (auto it = lo; it != hi; ++it) {
-        if (it->second.untilEpoch > clock.epoch)
-            f = std::min(f, it->second.factor);
-    }
-    return f;
+    return openFactor(degraded, board, clock.epoch);
 }
 
 bool

@@ -126,8 +126,12 @@ buildVgg11(const NetSpec &s, Rng &rng)
     return Model("vgg11", std::move(net));
 }
 
+/** Three stages of two residual blocks each (16/32/64 channels,
+ *  stride 2 entering the later two), then pool and classify. */
 Model
-buildResNet18(const NetSpec &s, Rng &rng)
+buildResNet(const NetSpec &s, Rng &rng, const char *name,
+            std::unique_ptr<Layer> (*block)(std::size_t, std::size_t,
+                                            std::size_t, Rng &))
 {
     auto net = std::make_unique<Sequential>();
     net->add(conv3x3(s.inChannels, 16, 1, rng));
@@ -137,33 +141,13 @@ buildResNet18(const NetSpec &s, Rng &rng)
     for (std::size_t k = 0; k < 3; ++k) {
         const std::size_t out = stages[k];
         const std::size_t stride = k == 0 ? 1 : 2;
-        net->add(basicBlock(c, out, stride, rng));
-        net->add(basicBlock(out, out, 1, rng));
+        net->add(block(c, out, stride, rng));
+        net->add(block(out, out, 1, rng));
         c = out;
     }
     net->add(std::make_unique<GlobalAvgPool>());
     net->add(std::make_unique<Dense>(c, s.classes, rng));
-    return Model("resnet18", std::move(net));
-}
-
-Model
-buildResNet50(const NetSpec &s, Rng &rng)
-{
-    auto net = std::make_unique<Sequential>();
-    net->add(conv3x3(s.inChannels, 16, 1, rng));
-    net->add(std::make_unique<ReLU>());
-    const std::size_t stages[] = {16, 32, 64};
-    std::size_t c = 16;
-    for (std::size_t k = 0; k < 3; ++k) {
-        const std::size_t out = stages[k];
-        const std::size_t stride = k == 0 ? 1 : 2;
-        net->add(bottleneckBlock(c, out, stride, rng));
-        net->add(bottleneckBlock(out, out, 1, rng));
-        c = out;
-    }
-    net->add(std::make_unique<GlobalAvgPool>());
-    net->add(std::make_unique<Dense>(c, s.classes, rng));
-    return Model("resnet50", std::move(net));
+    return Model(name, std::move(net));
 }
 
 Model
@@ -211,9 +195,9 @@ buildModel(const std::string &family, const NetSpec &spec, Rng &rng)
     if (family == "vgg11")
         return buildVgg11(spec, rng);
     if (family == "resnet18")
-        return buildResNet18(spec, rng);
+        return buildResNet(spec, rng, "resnet18", basicBlock);
     if (family == "resnet50")
-        return buildResNet50(spec, rng);
+        return buildResNet(spec, rng, "resnet50", bottleneckBlock);
     if (family == "mobilenet_v1")
         return buildMobileNetV1(spec, rng);
     if (family == "mlp")

@@ -212,70 +212,55 @@ Histogram::exponentialBounds(double lo_bound, double hi_bound,
     return bounds;
 }
 
-Counter &
-MetricsRegistry::counter(std::string_view name, const Labels &labels)
+template <class T, class Make>
+T &
+MetricsRegistry::series(std::map<std::string, std::unique_ptr<T>> &own,
+                        std::string_view name, const Labels &labels,
+                        Make make)
 {
     const std::string key = seriesKey(name, labels);
     std::lock_guard<std::mutex> lock(mu);
-    SOCFLOW_ASSERT(!gauges.count(key) && !histograms.count(key) &&
-                       !digests.count(key),
+    SOCFLOW_ASSERT(counters.count(key) + gauges.count(key) +
+                           histograms.count(key) + digests.count(key) ==
+                       own.count(key),
                    "metric re-registered with a different type: ", key);
-    auto it = counters.find(key);
-    if (it == counters.end())
-        it = counters.emplace(key, std::make_unique<Counter>()).first;
+    auto it = own.find(key);
+    if (it == own.end())
+        it = own.emplace(key, make()).first;
     return *it->second;
+}
+
+Counter &
+MetricsRegistry::counter(std::string_view name, const Labels &labels)
+{
+    return series(counters, name, labels,
+                  [] { return std::make_unique<Counter>(); });
 }
 
 Gauge &
 MetricsRegistry::gauge(std::string_view name, const Labels &labels)
 {
-    const std::string key = seriesKey(name, labels);
-    std::lock_guard<std::mutex> lock(mu);
-    SOCFLOW_ASSERT(!counters.count(key) && !histograms.count(key) &&
-                       !digests.count(key),
-                   "metric re-registered with a different type: ", key);
-    auto it = gauges.find(key);
-    if (it == gauges.end())
-        it = gauges.emplace(key, std::make_unique<Gauge>()).first;
-    return *it->second;
+    return series(gauges, name, labels,
+                  [] { return std::make_unique<Gauge>(); });
 }
 
 Histogram &
 MetricsRegistry::histogram(std::string_view name, const Labels &labels,
                            std::vector<double> upper_bounds)
 {
-    const std::string key = seriesKey(name, labels);
-    std::lock_guard<std::mutex> lock(mu);
-    SOCFLOW_ASSERT(!counters.count(key) && !gauges.count(key) &&
-                       !digests.count(key),
-                   "metric re-registered with a different type: ", key);
-    auto it = histograms.find(key);
-    if (it == histograms.end()) {
+    return series(histograms, name, labels, [&] {
         if (upper_bounds.empty())
             upper_bounds = Histogram::exponentialBounds(1e-6, 1e3, 3);
-        it = histograms
-                 .emplace(key, std::make_unique<Histogram>(
-                                   std::move(upper_bounds)))
-                 .first;
-    }
-    return *it->second;
+        return std::make_unique<Histogram>(std::move(upper_bounds));
+    });
 }
 
 TDigest &
 MetricsRegistry::tdigest(std::string_view name, const Labels &labels,
                          double compression)
 {
-    const std::string key = seriesKey(name, labels);
-    std::lock_guard<std::mutex> lock(mu);
-    SOCFLOW_ASSERT(!counters.count(key) && !gauges.count(key) &&
-                       !histograms.count(key),
-                   "metric re-registered with a different type: ", key);
-    auto it = digests.find(key);
-    if (it == digests.end())
-        it = digests
-                 .emplace(key, std::make_unique<TDigest>(compression))
-                 .first;
-    return *it->second;
+    return series(digests, name, labels,
+                  [&] { return std::make_unique<TDigest>(compression); });
 }
 
 std::size_t
@@ -289,39 +274,9 @@ MetricsRegistry::seriesCount() const
 std::string
 MetricsRegistry::textDump() const
 {
-    std::lock_guard<std::mutex> lock(mu);
     std::ostringstream oss;
-    for (const auto &[key, c] : counters)
-        oss << key << ' ' << formatValue(c->value()) << '\n';
-    for (const auto &[key, g] : gauges)
-        oss << key << ' ' << formatValue(g->value()) << '\n';
-    for (const auto &[key, h] : histograms) {
-        oss << key << "_count " << h->count() << '\n';
-        oss << key << "_sum " << formatValue(h->sum()) << '\n';
-        static constexpr struct {
-            const char *label;
-            double p;
-        } quantiles[] = {{"0.5", 50.0}, {"0.95", 95.0}, {"0.99", 99.0}};
-        for (const auto &q : quantiles) {
-            oss << keyWithExtraLabel(key, "quantile", q.label) << ' '
-                << formatValue(h->percentile(q.p)) << '\n';
-        }
-    }
-    for (const auto &[key, d] : digests) {
-        oss << key << "_count " << d->count() << '\n';
-        oss << key << "_sum " << formatValue(d->sum()) << '\n';
-        static constexpr struct {
-            const char *label;
-            double q;
-        } quantiles[] = {{"0.5", 0.5},
-                         {"0.95", 0.95},
-                         {"0.99", 0.99},
-                         {"0.999", 0.999}};
-        for (const auto &q : quantiles) {
-            oss << keyWithExtraLabel(key, "quantile", q.label) << ' '
-                << formatValue(d->quantile(q.q)) << '\n';
-        }
-    }
+    for (const auto &[key, v] : snapshotValues())
+        oss << key << ' ' << formatValue(v) << '\n';
     return oss.str();
 }
 

@@ -206,6 +206,12 @@ class MetricsRegistry
     void reset();
 
   private:
+    /** The series `name`/`labels` of `own`, made by make() on first
+     *  use; one registered in another of the four maps panics. */
+    template <class T, class Make>
+    T &series(std::map<std::string, std::unique_ptr<T>> &own,
+              std::string_view name, const Labels &labels, Make make);
+
     mutable std::mutex mu;
     std::map<std::string, std::unique_ptr<Counter>> counters;
     std::map<std::string, std::unique_ptr<Gauge>> gauges;

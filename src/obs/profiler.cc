@@ -35,6 +35,16 @@ appendDouble(std::string &out, double v)
     out += buf;
 }
 
+/** Append `,"key":v` to a JSON object under construction. */
+void
+appendField(std::string &out, std::string_view key, double v)
+{
+    out += ",\"";
+    out += key;
+    out += "\":";
+    appendDouble(out, v);
+}
+
 void
 appendQuoted(std::string &out, std::string_view s)
 {
@@ -488,8 +498,7 @@ PerfReport::toJson() const
     out.reserve(2048);
     out += "{\"epochs\":";
     appendDouble(out, static_cast<double>(epochs));
-    out += ",\"wall_seconds\":";
-    appendDouble(out, wallSeconds);
+    appendField(out, "wall_seconds", wallSeconds);
     char hashBuf[24];
     std::snprintf(hashBuf, sizeof hashBuf, "%016llx",
                   static_cast<unsigned long long>(timelineHash));
@@ -497,10 +506,8 @@ PerfReport::toJson() const
     out += hashBuf;
     out += "\",\"conservation_ok\":";
     out += conservationOk ? "true" : "false";
-    out += ",\"worst_conservation_error\":";
-    appendDouble(out, worstConservationError);
-    out += ",\"overlap_ratio\":";
-    appendDouble(out, overlapRatio);
+    appendField(out, "worst_conservation_error", worstConservationError);
+    appendField(out, "overlap_ratio", overlapRatio);
     out += ",\"phases\":{";
     for (std::size_t p = 0; p < kNumPhases; ++p) {
         if (p)
@@ -508,30 +515,23 @@ PerfReport::toJson() const
         appendQuoted(out, kPhaseNames[p]);
         out += ":{\"exclusive_seconds\":";
         appendDouble(out, exclusiveSeconds[p]);
-        out += ",\"inclusive_seconds\":";
-        appendDouble(out, inclusiveSeconds[p]);
+        appendField(out, "inclusive_seconds", inclusiveSeconds[p]);
         out += '}';
     }
     out += "},\"step_windows\":{\"compute_seconds\":";
     appendDouble(out, computeWindowSeconds);
-    out += ",\"comm_seconds\":";
-    appendDouble(out, commWindowSeconds);
-    out += ",\"hidden_comm_seconds\":";
-    appendDouble(out, hiddenCommSeconds);
+    appendField(out, "comm_seconds", commWindowSeconds);
+    appendField(out, "hidden_comm_seconds", hiddenCommSeconds);
     out += "},\"layers\":[";
     for (std::size_t i = 0; i < layers.size(); ++i) {
         if (i)
             out += ',';
         out += "{\"name\":";
         appendQuoted(out, layers[i].name);
-        out += ",\"compute_seconds\":";
-        appendDouble(out, layers[i].computeSeconds);
-        out += ",\"comm_seconds\":";
-        appendDouble(out, layers[i].commSeconds);
-        out += ",\"hidden_comm_seconds\":";
-        appendDouble(out, layers[i].hiddenSeconds);
-        out += ",\"overlap_ratio\":";
-        appendDouble(out, layers[i].overlapRatio());
+        appendField(out, "compute_seconds", layers[i].computeSeconds);
+        appendField(out, "comm_seconds", layers[i].commSeconds);
+        appendField(out, "hidden_comm_seconds", layers[i].hiddenSeconds);
+        appendField(out, "overlap_ratio", layers[i].overlapRatio());
         out += '}';
     }
     out += "],\"resources\":[";
@@ -541,22 +541,15 @@ PerfReport::toJson() const
             out += ',';
         out += "{\"name\":";
         appendQuoted(out, r.name);
-        out += ",\"critical_path_seconds\":";
-        appendDouble(out, r.criticalSeconds);
-        out += ",\"critical_path_share\":";
-        appendDouble(out, r.criticalShare);
-        out += ",\"predicted_benefit_seconds\":";
-        appendDouble(out, r.predictedBenefitSeconds);
-        out += ",\"utilization\":";
-        appendDouble(out, r.utilization);
-        out += ",\"headroom\":";
-        appendDouble(out, r.headroom);
-        out += ",\"busy_seconds\":";
-        appendDouble(out, r.busySeconds);
-        out += ",\"bytes\":";
-        appendDouble(out, r.bytes);
-        out += ",\"binding_seconds\":";
-        appendDouble(out, r.bindingSeconds);
+        appendField(out, "critical_path_seconds", r.criticalSeconds);
+        appendField(out, "critical_path_share", r.criticalShare);
+        appendField(out, "predicted_benefit_seconds",
+                    r.predictedBenefitSeconds);
+        appendField(out, "utilization", r.utilization);
+        appendField(out, "headroom", r.headroom);
+        appendField(out, "busy_seconds", r.busySeconds);
+        appendField(out, "bytes", r.bytes);
+        appendField(out, "binding_seconds", r.bindingSeconds);
         out += '}';
     }
     out += "]}";
@@ -613,10 +606,8 @@ PerfReport::summaryJson() const
     appendDouble(out, static_cast<double>(epochs));
     out += ",\"conservation_ok\":";
     out += conservationOk ? "true" : "false";
-    out += ",\"worst_conservation_error\":";
-    appendDouble(out, worstConservationError);
-    out += ",\"overlap_ratio\":";
-    appendDouble(out, overlapRatio);
+    appendField(out, "worst_conservation_error", worstConservationError);
+    appendField(out, "overlap_ratio", overlapRatio);
     out += ",\"top_bottlenecks\":[";
     const std::size_t n = std::min<std::size_t>(3, resources.size());
     for (std::size_t i = 0; i < n; ++i) {
@@ -625,10 +616,9 @@ PerfReport::summaryJson() const
             out += ',';
         out += "{\"resource\":";
         appendQuoted(out, r.name);
-        out += ",\"critical_path_share\":";
-        appendDouble(out, r.criticalShare);
-        out += ",\"predicted_benefit_seconds\":";
-        appendDouble(out, r.predictedBenefitSeconds);
+        appendField(out, "critical_path_share", r.criticalShare);
+        appendField(out, "predicted_benefit_seconds",
+                    r.predictedBenefitSeconds);
         out += '}';
     }
     out += "]}";

@@ -5,6 +5,7 @@
 
 #include "data/dataset.hh"
 #include "obs/metrics.hh"
+#include "core/sync_pricer.hh"
 #include "obs/profiler.hh"
 #include "sim/energy.hh"
 #include "util/logging.hh"
@@ -16,32 +17,21 @@ namespace {
 
 /** Hot-path counters, cached once. */
 struct PsMetrics {
-    obs::Counter &pushes;
-    obs::Counter &pulls;
-    obs::Counter &pushBytes;
-    obs::Counter &pullBytes;
-    obs::Counter &failoverTotal;
-    obs::Counter &rebalanceTotal;
-    obs::Counter &stalenessBlocks;
-    obs::Counter &fencedPushes;
-    obs::Counter &pausedEpochs;
-    obs::Gauge &stalenessAge;
-    PsMetrics()
-        : pushes(obs::metrics().counter("ps_push_total")),
-          pulls(obs::metrics().counter("ps_pull_total")),
-          pushBytes(obs::metrics().counter("ps_push_bytes_total")),
-          pullBytes(obs::metrics().counter("ps_pull_bytes_total")),
-          failoverTotal(
-              obs::metrics().counter("shard_failover_total")),
-          rebalanceTotal(obs::metrics().counter("ps_rebalance_total")),
-          stalenessBlocks(
-              obs::metrics().counter("ps_staleness_blocks_total")),
-          fencedPushes(
-              obs::metrics().counter("ps_fenced_pushes_total")),
-          pausedEpochs(obs::metrics().counter("ps_paused_epochs_total")),
-          stalenessAge(obs::metrics().gauge("ps_staleness_age_max"))
-    {
-    }
+    obs::Counter &pushes = obs::metrics().counter("ps_push_total");
+    obs::Counter &pulls = obs::metrics().counter("ps_pull_total");
+    obs::Counter &pushBytes = obs::metrics().counter("ps_push_bytes_total");
+    obs::Counter &pullBytes = obs::metrics().counter("ps_pull_bytes_total");
+    obs::Counter &failoverTotal =
+        obs::metrics().counter("shard_failover_total");
+    obs::Counter &rebalanceTotal =
+        obs::metrics().counter("ps_rebalance_total");
+    obs::Counter &stalenessBlocks =
+        obs::metrics().counter("ps_staleness_blocks_total");
+    obs::Counter &fencedPushes =
+        obs::metrics().counter("ps_fenced_pushes_total");
+    obs::Counter &pausedEpochs =
+        obs::metrics().counter("ps_paused_epochs_total");
+    obs::Gauge &stalenessAge = obs::metrics().gauge("ps_staleness_age_max");
 };
 
 PsMetrics &
@@ -99,6 +89,14 @@ ShardedPsTrainer::attachFaultInjector(fault::FaultInjector *inj)
     engine.setFaultModel(inj);
 }
 
+double
+ShardedPsTrainer::bytesPerParam()
+{
+    return model.paramCount() ? profile.paramBytes() /
+                                    static_cast<double>(model.paramCount())
+                              : 0.0;
+}
+
 bool
 ShardedPsTrainer::usable(sim::SocId soc) const
 {
@@ -109,9 +107,8 @@ ShardedPsTrainer::usable(sim::SocId soc) const
 }
 
 bool
-ShardedPsTrainer::refreshMembership(core::EpochRecord &rec)
+ShardedPsTrainer::refreshMembership()
 {
-    (void)rec;
     active.clear();
     std::vector<sim::SocId> side;
     std::size_t totalLive = 0;
@@ -143,34 +140,14 @@ ShardedPsTrainer::noteFired(const std::vector<fault::FaultSpec> &fired,
                             core::EpochRecord &rec)
 {
     for (const fault::FaultSpec &s : fired) {
-        timeline.mix(static_cast<std::uint64_t>(s.kind));
-        timeline.mix(static_cast<std::uint64_t>(s.epoch));
-        timeline.mix(static_cast<std::uint64_t>(s.step));
-        timeline.mix(static_cast<std::uint64_t>(s.soc));
-        timeline.mix(static_cast<std::uint64_t>(s.board));
-        switch (s.kind) {
-          case fault::FaultKind::SocCrash:
-          case fault::FaultKind::SocCrashMidWave:
-          case fault::FaultKind::LeaderCrash:
-          case fault::FaultKind::PsServerCrash:
-            ++rec.crashes;
-            rec.recoverySeconds += cfg.sync.timeoutS;
-            break;
-          case fault::FaultKind::BoardPartition:
-          case fault::FaultKind::SwitchPartition:
-            ++rec.partitions;
-            break;
-          case fault::FaultKind::SocRejoin:
-            ++rec.rejoins;
-            // A rejoining SoC lost its snapshot: force a pull before
-            // its next gradient so it can never push over-stale work.
-            for (Worker &w : workers) {
-                if (w.soc == s.soc)
-                    w.sincePull = cfg.staleness + 1;
-            }
-            break;
-          default:
-            break;
+        timeline.mixAll(s.kind, s.epoch, s.step, s.soc, s.board);
+        if (!core::countFault(s, rec, cfg.sync.timeoutS))
+            continue;
+        // A rejoining SoC lost its snapshot: force a pull before its
+        // next gradient so it can never push over-stale work.
+        for (Worker &w : workers) {
+            if (w.soc == s.soc)
+                w.sincePull = cfg.staleness + 1;
         }
     }
 }
@@ -183,11 +160,6 @@ ShardedPsTrainer::runFailover(core::EpochRecord &rec)
     if (moves.empty())
         return;
     const double nicRate = cluster.config().boardNicBps / 8.0;
-    const double perParamBytes =
-        model.paramCount()
-            ? profile.paramBytes() /
-                  static_cast<double>(model.paramCount())
-            : 0.0;
     for (const ShardMove &mv : moves) {
         ++failovers;
         psMetrics().failoverTotal.add(1.0);
@@ -199,16 +171,13 @@ ShardedPsTrainer::runFailover(core::EpochRecord &rec)
         std::fill(velocity.begin() + static_cast<long>(r.begin),
                   velocity.begin() + static_cast<long>(r.end), 0.0f);
         const double shardBytes =
-            perParamBytes * static_cast<double>(r.count());
+            bytesPerParam() * static_cast<double>(r.count());
         rec.recoverySeconds += cfg.sync.timeoutS +
                                cfg.sync.backoffBaseS +
                                shardBytes / nicRate +
                                cluster.config().messageLatencyS;
-        timeline.mix(static_cast<std::uint64_t>(0xFA170BE5ULL));
-        timeline.mix(static_cast<std::uint64_t>(mv.shard));
-        timeline.mix(static_cast<std::uint64_t>(mv.from));
-        timeline.mix(static_cast<std::uint64_t>(mv.to));
-        timeline.mix(map.gate().current());
+        timeline.mixAll(0xFA170BE5ULL, mv.shard, mv.from, mv.to,
+                        map.gate().current());
     }
 }
 
@@ -258,13 +227,11 @@ ShardedPsTrainer::digestShards()
     }
 }
 
-void
-ShardedPsTrainer::maybeRebalance(const collectives::PsExchange &ex,
-                                 core::EpochRecord &rec,
-                                 double &migration_s)
+double
+ShardedPsTrainer::maybeRebalance(const collectives::PsExchange &ex)
 {
     if (cfg.rebalanceFactor <= 0.0 || ex.endpoints.size() < 2)
-        return;
+        return 0.0;
     // Owning endpoints only (zero-byte servers host nothing).
     std::size_t hot = ex.endpoints.size();
     double hotDrain = 0.0, otherSum = 0.0;
@@ -287,15 +254,15 @@ ShardedPsTrainer::maybeRebalance(const collectives::PsExchange &ex,
         }
     }
     if (hot == ex.endpoints.size() || others == 0)
-        return;
+        return 0.0;
     const double mean = otherSum / static_cast<double>(others);
     if (mean <= 0.0 || hotDrain <= cfg.rebalanceFactor * mean)
-        return;
+        return 0.0;
 
     const sim::SocId donor = ex.endpoints[hot].server;
     const auto owned = map.shardsOwnedBy(donor);
     if (owned.empty())
-        return;
+        return 0.0;
     // Smallest shard moves (least migration traffic), to the
     // least-loaded usable endpoint.
     std::size_t shard = owned.front();
@@ -316,7 +283,7 @@ ShardedPsTrainer::maybeRebalance(const collectives::PsExchange &ex,
         }
     }
     if (!haveTarget || !map.rebalance(shard, target))
-        return;
+        return 0.0;
 
     ++rebalances;
     psMetrics().rebalanceTotal.add(1.0);
@@ -325,20 +292,13 @@ ShardedPsTrainer::maybeRebalance(const collectives::PsExchange &ex,
     // nothing.
     for (std::size_t i : active)
         workers[i].gen = map.gate().current();
-    const double perParamBytes =
-        model.paramCount()
-            ? profile.paramBytes() /
-                  static_cast<double>(model.paramCount())
-            : 0.0;
     const double shardBytes =
-        perParamBytes * static_cast<double>(map.range(shard).count());
-    (void)rec;
-    migration_s = shardBytes / (cluster.config().boardNicBps / 8.0) +
-                  cluster.config().messageLatencyS;
-    timeline.mix(static_cast<std::uint64_t>(0x2EBA1A4CULL));
-    timeline.mix(static_cast<std::uint64_t>(shard));
-    timeline.mix(static_cast<std::uint64_t>(donor));
-    timeline.mix(static_cast<std::uint64_t>(target));
+        bytesPerParam() * static_cast<double>(map.range(shard).count());
+    const double migrationS =
+        shardBytes / (cluster.config().boardNicBps / 8.0) +
+        cluster.config().messageLatencyS;
+    timeline.mixAll(0x2EBA1A4CULL, shard, donor, target);
+    return migrationS;
 }
 
 core::EpochRecord
@@ -356,13 +316,7 @@ ShardedPsTrainer::runEpoch()
     obs::Profiler &prof = obs::profiler();
     const bool profiling = prof.enabled();
     if (profiling) {
-        if (!profLayersRegistered) {
-            std::vector<std::pair<std::string, std::size_t>> table;
-            for (const nn::Param *p : model.params())
-                table.emplace_back(p->name, p->value.numel());
-            prof.registerLayers(table);
-            profLayersRegistered = true;
-        }
+        core::registerProfilerLayers(model, profLayersRegistered);
         prof.beginEpoch(1);
     }
 
@@ -382,7 +336,7 @@ ShardedPsTrainer::runEpoch()
                               fault::FaultPhase::Compute});
         noteFired(fired, rec);
     }
-    bool quorum = refreshMembership(rec);
+    bool quorum = refreshMembership();
     if (quorum)
         runFailover(rec);
     if (!quorum || !map.orphaned().empty()) {
@@ -391,12 +345,9 @@ ShardedPsTrainer::runEpoch()
         rec.paused = true;
         rec.simSeconds = cfg.sync.timeoutS;
         pm.pausedEpochs.add(1.0);
-        timeline.mix(static_cast<std::uint64_t>(0xDEADBEA7ULL));
-        timeline.mix(static_cast<std::uint64_t>(epochIdx));
+        timeline.mixAll(0xDEADBEA7ULL, epochIdx);
         if (profiling) {
-            prof.addSpan(0, obs::Phase::Paused, 0.0, rec.simSeconds);
-            prof.attributeCritical("fault-recovery", rec.simSeconds,
-                                   rec.simSeconds);
+            core::profileRecovery(0, 0.0, rec.simSeconds, true);
             prof.noteTimelineHash(timeline.value());
             prof.endEpoch(rec.simSeconds);
         }
@@ -406,8 +357,7 @@ ShardedPsTrainer::runEpoch()
 
     data::BatchIterator it(bundle.train.size(), cfg.globalBatch,
                            rng.split());
-    double lossSum = 0.0, accSum = 0.0;
-    std::size_t sampleSum = 0;
+    core::TrainSums sums;
     std::size_t steps = 0;
     double epochMinFactor = 1.0;
     std::size_t epochMaxAge = 0;
@@ -423,7 +373,7 @@ ShardedPsTrainer::runEpoch()
                                   fault::FaultPhase::Compute});
             if (!fired.empty()) {
                 noteFired(fired, rec);
-                if (!refreshMembership(rec)) {
+                if (!refreshMembership()) {
                     rec.paused = true;
                     break;
                 }
@@ -502,9 +452,7 @@ ShardedPsTrainer::runEpoch()
         }
         ++w.sincePull;
 
-        lossSum += r.loss * static_cast<double>(r.samples);
-        accSum += r.accuracy * static_cast<double>(r.samples);
-        sampleSum += r.samples;
+        sums.add(r);
         ++steps;
     }
 
@@ -515,7 +463,7 @@ ShardedPsTrainer::runEpoch()
         const auto fired = faults->advanceTo(epochIdx);
         if (!fired.empty()) {
             noteFired(fired, rec);
-            if (refreshMembership(rec))
+            if (refreshMembership())
                 runFailover(rec);
         }
     }
@@ -547,15 +495,11 @@ ShardedPsTrainer::runEpoch()
         workerSocs.reserve(active.size());
         for (std::size_t i : active)
             workerSocs.push_back(workers[i].soc);
-        const double perParam =
-            model.paramCount()
-                ? paramBytes / static_cast<double>(model.paramCount())
-                : 0.0;
         std::vector<double> pushB(map.servers().size(), 0.0);
         std::vector<double> pullB(map.servers().size(), 0.0);
         for (std::size_t s = 0; s < map.servers().size(); ++s) {
             const double ownedBytes =
-                perParam * static_cast<double>(
+                bytesPerParam() * static_cast<double>(
                                map.paramsOwnedBy(map.servers()[s]));
             pushB[s] = stepsD * ownedBytes /
                        static_cast<double>(nActive);
@@ -571,12 +515,10 @@ ShardedPsTrainer::runEpoch()
             // result discarded, metric side effects suppressed
             // (sim/flow_network.hh) -- prices where the sync time
             // went without perturbing anything.
-            const sim::FlowNetwork &net = cluster.network();
-            net.beginCapture(&psCap);
-            engine.shardedParamServer(workerSocs, map.servers(),
-                                      pushB, pullB,
-                                      cfg.chainReplication);
-            net.endCapture();
+            psCap = core::captureFlows(cluster.network(), [&] {
+                engine.shardedParamServer(workerSocs, map.servers(), pushB,
+                                          pullB, cfg.chainReplication);
+            });
             double tp = 0.0, tl = 0.0;
             for (std::size_t s = 0; s < map.servers().size(); ++s) {
                 tp += pushB[s];
@@ -585,51 +527,26 @@ ShardedPsTrainer::runEpoch()
             if (tp + tl > 0.0)
                 profPushShare = tp / (tp + tl);
         }
-        double migrationS = 0.0;
-        maybeRebalance(ex, rec, migrationS);
-        syncS += migrationS;
+        syncS += maybeRebalance(ex);
     }
 
     rec.computeSeconds = computeS;
     rec.syncSeconds = syncS;
     rec.updateSeconds = stepsD * profile.updateMsPerBatch / 1000.0;
-    rec.simSeconds = std::max(computeS, syncS) + rec.updateSeconds +
-                     rec.recoverySeconds;
+    // The whole epoch is one overlapped step: workers stream
+    // pushes/pulls while computing.
+    const core::StepTimeline tl{computeS, syncS, rec.updateSeconds, true};
+    rec.simSeconds = tl.wallS() + rec.recoverySeconds;
 
     if (profiling) {
-        // Single-slot span layout: compute and the push/pull streams
-        // overlap over [0, max(compute, sync)); update and recovery
-        // serialize after. The sync window splits into push/pull by
-        // byte share. End-to-end the union tiles [0, simSeconds)
-        // exactly (conservation invariant).
-        const double spanS = std::max(computeS, syncS);
-        if (computeS > 0.0) {
-            prof.addSpan(0, obs::Phase::Forward, 0.0, computeS / 3.0);
-            prof.addSpan(0, obs::Phase::Backward, computeS / 3.0,
-                         computeS);
-        }
-        const double pushEndS = syncS * profPushShare;
-        if (pushEndS > 0.0)
-            prof.addSpan(0, obs::Phase::PsPush, 0.0, pushEndS);
-        if (syncS > pushEndS)
-            prof.addSpan(0, obs::Phase::PsPull, pushEndS, syncS);
-        const double updEndS = spanS + rec.updateSeconds;
-        prof.addSpan(0, obs::Phase::Update, spanS, updEndS);
-        if (rec.recoverySeconds > 0.0) {
-            prof.addSpan(0, obs::Phase::Recovery, updEndS,
-                         updEndS + rec.recoverySeconds);
-            prof.attributeCritical("fault-recovery",
-                                   rec.recoverySeconds,
-                                   rec.recoverySeconds);
-        }
-        prof.noteStepWindows(computeS, syncS, true);
-        if (computeS >= syncS)
-            prof.attributeCritical("compute", computeS,
-                                   computeS - syncS);
-        else
-            prof.attributeCommCritical(syncS, syncS - computeS);
-        prof.attributeCritical("optimizer", rec.updateSeconds,
-                               rec.updateSeconds);
+        // One slot; the sync window splits into push then pull by byte
+        // share, and recovery serializes after the update. The spans
+        // tile [0, simSeconds) exactly (conservation invariant).
+        core::profileCompute(0, 0.0, computeS, computeS);
+        core::profileStep(tl, 0, 0.0, 1.0, {syncS * profPushShare},
+                          {obs::Phase::PsPush, obs::Phase::PsPush,
+                           obs::Phase::PsPull});
+        core::profileRecovery(0, tl.wallS(), rec.recoverySeconds, false);
     }
 
     sim::EnergyMeter meter;
@@ -642,33 +559,16 @@ ShardedPsTrainer::runEpoch()
                         static_cast<double>(nActive);
     meter.fillIdle(totalSocSeconds, busy);
     rec.energyJoules = meter.totalJoules();
-    rec.trainLoss = sampleSum ? lossSum / sampleSum : 0.0;
-    rec.trainAcc = sampleSum ? accSum / sampleSum : 0.0;
+    sums.fill(rec);
 
     pm.stalenessAge.set(static_cast<double>(epochMaxAge));
     digestShards();
-    timeline.mix(static_cast<std::uint64_t>(epochIdx));
-    timeline.mix(static_cast<std::uint64_t>(steps));
-    timeline.mix(static_cast<std::uint64_t>(acked));
-    timeline.mix(static_cast<std::uint64_t>(fenced));
-    timeline.mix(static_cast<std::uint64_t>(blocks));
-    timeline.mix(static_cast<std::uint64_t>(retransmits));
-    timeline.mix(static_cast<std::uint64_t>(pushDrops));
-    timeline.mix(static_cast<std::uint64_t>(failovers));
-    timeline.mix(static_cast<std::uint64_t>(rebalances));
-    timeline.mix(map.gate().current());
-    timeline.mix(rec.simSeconds);
+    timeline.mixAll(epochIdx, steps, acked, fenced, blocks, retransmits,
+                    pushDrops, failovers, rebalances, map.gate().current(),
+                    rec.simSeconds);
 
     if (profiling) {
-        const sim::FlowNetwork &net = cluster.network();
-        for (sim::ResourceId r = 0; r < psCap.usage.size(); ++r) {
-            const sim::ResourceUsage &u = psCap.usage[r];
-            if (u.busySeconds <= 0.0)
-                continue;
-            prof.noteResourceUsage(net.name(r), net.capacity(r),
-                                   u.busySeconds, u.bytes,
-                                   u.bindingSeconds);
-        }
+        core::noteResourceUsage(cluster.network(), psCap.usage);
         prof.noteTimelineHash(timeline.value());
         prof.endEpoch(rec.simSeconds);
     }

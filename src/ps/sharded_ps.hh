@@ -143,7 +143,7 @@ class ShardedPsTrainer : public core::DistTrainer
     /** True when `soc` is alive and its board reachable. */
     bool usable(sim::SocId soc) const;
     /** Rebuild the active-worker rotation; true when quorum holds. */
-    bool refreshMembership(core::EpochRecord &rec);
+    bool refreshMembership();
     /** Note fired faults: counters + timeline. */
     void noteFired(const std::vector<fault::FaultSpec> &fired,
                    core::EpochRecord &rec);
@@ -154,11 +154,12 @@ class ShardedPsTrainer : public core::DistTrainer
     /** End-of-epoch per-shard CRC digests -> gauges + timeline. */
     void digestShards();
     /**
-     * Migrate one shard off a saturated endpoint (planned move);
-     * adds the migration transfer time to `migration_s`.
+     * Migrate one shard off a saturated endpoint (planned move).
+     * @return the migration transfer seconds (0 without a move).
      */
-    void maybeRebalance(const collectives::PsExchange &ex,
-                        core::EpochRecord &rec, double &migration_s);
+    double maybeRebalance(const collectives::PsExchange &ex);
+    /** Bytes of one flat parameter at paper scale. */
+    double bytesPerParam();
 
     ShardedPsConfig cfg;
     const data::DataBundle &bundle;
@@ -197,7 +198,6 @@ class ShardedPsTrainer : public core::DistTrainer
     std::size_t failovers = 0;
     std::size_t rebalances = 0;
     std::size_t maxAgeSeen = 0;
-    double minComputeFactor = 1.0;
     /** Layer table pushed to the profiler (once per trainer). */
     bool profLayersRegistered = false;
 };

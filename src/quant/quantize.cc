@@ -26,6 +26,18 @@ computeScale(const float *x, std::size_t n, int bits)
     return mx / static_cast<float>(quantMax(bits));
 }
 
+namespace {
+
+/** Round `v` down or up, up with probability frac(v): one draw. */
+inline float
+roundStochastic(float v, Rng &rng)
+{
+    const float fl = std::floor(v);
+    return fl + (rng.uniform() < v - fl ? 1.0f : 0.0f);
+}
+
+} // namespace
+
 void
 quantize(const float *x, std::size_t n, float scale,
          const QuantConfig &cfg, Rng *rng, std::int32_t *q)
@@ -38,17 +50,12 @@ quantize(const float *x, std::size_t n, float scale,
     const float inv = 1.0f / scale;
     for (std::size_t i = 0; i < n; ++i) {
         const float v = x[i] * inv;
-        float r;
-        if (cfg.stochasticRounding && rng) {
-            const float fl = std::floor(v);
-            const float frac = v - fl;
-            r = fl + (rng->uniform() < frac ? 1.0f : 0.0f);
-        } else {
-            r = std::nearbyint(v);
-        }
+        float r = cfg.stochasticRounding && rng ? roundStochastic(v, *rng)
+                                                : std::nearbyint(v);
         r = std::clamp(r, static_cast<float>(-qmax),
                        static_cast<float>(qmax));
-        q[i] = static_cast<std::int32_t>(r);
+        // A NaN quotient has no integer; casting it is undefined.
+        q[i] = std::isnan(r) ? 0 : static_cast<std::int32_t>(r);
     }
 }
 
@@ -63,16 +70,18 @@ namespace {
 
 /**
  * x <- dequantize(quantize(x)) with round-to-nearest, in one pass and
- * without the int32 buffer: each element takes the same nearbyint,
- * clamp and int32 round trip (-0.0 -> +0.0; NaN -> INT32_MIN, then
- * times scale) as quantize() followed by dequantize().
+ * without the int32 buffer: each element takes the same nearbyint and
+ * clamp as quantize(). The rounded value is a whole number within
+ * +-qmax, which the int32 round trip of dequantize(quantize()) keeps
+ * except for -0.0 (int 0 dequantizes to +0.0); adding +0.0 does the
+ * same and passes a NaN quotient through as NaN.
  */
 [[gnu::always_inline]] inline void
 roundTripBody(float *x, std::size_t n, float scale, float inv, float qmax)
 {
     for (std::size_t i = 0; i < n; ++i) {
         const float r = std::clamp(std::nearbyint(x[i] * inv), -qmax, qmax);
-        x[i] = static_cast<float>(static_cast<std::int32_t>(r)) * scale;
+        x[i] = (r + 0.0f) * scale;
     }
 }
 
@@ -124,14 +133,18 @@ fakeQuantizeWithIsa(RoundIsa isa, Tensor &x, const QuantConfig &cfg,
     const float scale = computeScale(x.data(), n, cfg.bits);
     if (scale == 0.0f)
         return;
-    if (cfg.stochasticRounding && rng) {
-        std::vector<std::int32_t> q(n);
-        quantize(x.data(), n, scale, cfg, rng, q.data());
-        dequantize(q.data(), n, scale, x.data());
-        return;
-    }
     const float inv = 1.0f / scale;
     const auto qmax = static_cast<float>(quantMax(cfg.bits));
+    if (cfg.stochasticRounding && rng) {
+        // quantize() then dequantize() in one pass, as roundTripBody.
+        float *v = x.data();
+        for (std::size_t i = 0; i < n; ++i) {
+            const float r =
+                std::clamp(roundStochastic(v[i] * inv, *rng), -qmax, qmax);
+            v[i] = (r + 0.0f) * scale;
+        }
+        return;
+    }
 #if defined(__x86_64__) || defined(__i386__)
     if (isa == RoundIsa::Sse41) {
         roundTripSse41(x.data(), n, scale, inv, qmax);

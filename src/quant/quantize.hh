@@ -39,7 +39,8 @@ int quantMax(int bits);
 float computeScale(const float *x, std::size_t n, int bits);
 
 /**
- * Quantize to integers: q = clamp(round(x / scale)).
+ * Quantize to integers: q = clamp(round(x / scale)); a NaN quotient
+ * gives 0.
  * @param rng used only when cfg.stochasticRounding is set.
  */
 void quantize(const float *x, std::size_t n, float scale,
@@ -51,7 +52,9 @@ void dequantize(const std::int32_t *q, std::size_t n, float scale,
 
 /**
  * Fake-quantize in place: x <- dequantize(quantize(x)). This is the
- * standard way to expose quantization error to an FP32 kernel.
+ * standard way to expose quantization error to an FP32 kernel. A NaN
+ * stays NaN, and so does every element whose quotient x / scale is
+ * NaN (an infinity, once one makes the scale infinite).
  */
 void fakeQuantize(Tensor &x, const QuantConfig &cfg, Rng *rng = nullptr);
 

@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 namespace socflow {
 
@@ -52,6 +53,21 @@ class Fnv1a64
         std::uint64_t bits;
         std::memcpy(&bits, &v, sizeof(bits));
         mix(bits);
+    }
+
+    /** Mix several values in order, each as mix() would: floating
+     *  values by bit pattern, integers and enums as one word. */
+    template <class... Ts>
+    void
+    mixAll(Ts... vs)
+    {
+        const auto one = [this](auto v) {
+            if constexpr (std::is_floating_point_v<decltype(v)>)
+                mix(static_cast<double>(v));
+            else
+                mix(static_cast<std::uint64_t>(v));
+        };
+        (one(vs), ...);
     }
 
     std::uint64_t value() const { return h; }

@@ -23,11 +23,14 @@
 #include <set>
 #include <vector>
 
+#include "collectives/engine.hh"
+#include "core/comm_plan.hh"
 #include "core/mapping.hh"
 #include "core/socflow_trainer.hh"
 #include "data/synthetic.hh"
 #include "fault/fault.hh"
 #include "membership/membership.hh"
+#include "sim/calibration.hh"
 #include "sim/cluster.hh"
 
 using namespace socflow;
@@ -480,6 +483,86 @@ TEST(MembershipTrainer, RejoinRemapPreservesTheorems)
     EXPECT_EQ(live.size(), 8u);
     expectLiveMappingOptimal(trainer, 5);
     EXPECT_GT(trainer.runEpoch().simSeconds, 0.0);
+}
+
+// ------------------------------------------------- sync-price memo
+
+namespace {
+
+/**
+ * Warm the trainer's memoized sync prices, apply `change`, then check
+ * the memo against a fresh pricer of the same mapping, and that
+ * mapping against the trainer's live member lists.
+ */
+void
+expectMemoFollows(core::SoCFlowTrainer &trainer,
+                  const std::function<void()> &change, const char *what)
+{
+    const core::SyncPricer &memo = trainer.syncPricer();
+    memo.stepSeconds();
+    memo.epochSeconds();
+    change();
+    const core::SyncPricer fresh(memo);
+    EXPECT_EQ(memo.stepSeconds(), fresh.stepSeconds()) << what;
+    EXPECT_EQ(memo.waveSeconds(), fresh.waveSeconds()) << what;
+    EXPECT_EQ(memo.epochSeconds(), fresh.epochSeconds()) << what;
+
+    Mapping live;
+    for (std::size_t g = 0; g < trainer.activeGroups(); ++g)
+        live.members.push_back(trainer.groupMembers(g));
+    const sim::Cluster &cluster = trainer.clusterModel();
+    const collectives::CollectiveEngine engine(cluster);
+    const core::CommPlan plan = core::planCommGroups(
+        core::conflictGraph(live, cluster.config().socsPerBoard));
+    const core::SyncPricer rebuilt(engine, live, plan,
+                                   sim::modelProfile("mlp").paramBytes(),
+                                   true, 0.0);
+    EXPECT_EQ(memo.stepSeconds(), rebuilt.stepSeconds()) << what;
+}
+
+} // namespace
+
+TEST(MembershipTrainer, SyncPriceMemoFollowsEveryMembershipChange)
+{
+    // 10 SoCs on two boards of five, one group per board: cutting
+    // board 1 parks group 1 for one epoch.
+    data::DataBundle bundle = tinyBundle();
+    core::SoCFlowTrainer trainer(tinyConfig(10, 2), bundle);
+    FaultPlan plan;
+    FaultSpec cut;
+    cut.kind = FaultKind::BoardPartition;
+    cut.epoch = 1;
+    cut.board = 1;
+    cut.durationEpochs = 1;
+    plan.add(cut);
+    FaultSpec rejoin;
+    rejoin.kind = FaultKind::SocRejoin;
+    rejoin.epoch = 3;
+    rejoin.soc = 3;
+    plan.add(rejoin);
+    FaultInjector inj(plan);
+    trainer.attachFaultInjector(&inj);
+    trainer.runEpoch();
+    const std::vector<std::uint8_t> blob = trainer.saveCheckpoint();
+
+    expectMemoFollows(trainer, [&] { trainer.runEpoch(); }, "partition");
+    ASSERT_EQ(trainer.pausedGroupCount(), 1u);
+    expectMemoFollows(trainer, [&] { trainer.runEpoch(); }, "heal");
+    ASSERT_EQ(trainer.activeGroups(), 2u);
+    expectMemoFollows(trainer, [&] { trainer.setActiveGroups(1); },
+                      "shrink");
+    expectMemoFollows(trainer, [&] { trainer.setActiveGroups(2); },
+                      "grow");
+    expectMemoFollows(trainer, [&] { trainer.injectCrash(3); }, "crash");
+    expectMemoFollows(
+        trainer,
+        [&] { trainer.injectMidWaveCrash(trainer.groupLeader(1), 0.5); },
+        "mid-wave crash");
+    expectMemoFollows(trainer, [&] { trainer.runEpoch(); }, "rejoin");
+    ASSERT_EQ(trainer.crashedSocs().count(3), 0u);
+    expectMemoFollows(trainer,
+                      [&] { trainer.restoreAfterPowerLoss(blob); },
+                      "power-loss restore");
 }
 
 // ------------------------------------------------ replay determinism

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cmath>
@@ -21,6 +22,7 @@
 
 #include "core/socflow_trainer.hh"
 #include "data/synthetic.hh"
+#include "fault/fault.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "util/thread_pool.hh"
@@ -703,6 +705,62 @@ TEST(Obs, TraceShowsOverlapExactlyWhenPlanning)
     ASSERT_FALSE(syncU.empty());
     EXPECT_FALSE(anyOverlap(computeU, syncU))
         << "unplanned run must serialize communication after compute";
+}
+
+/**
+ * A wave-phase crash re-prices the topology in the middle of a step;
+ * that step's sync-wave spans still tile its sync window, which
+ * without overlap is the gap between the slowest group's compute and
+ * the update.
+ */
+TEST(Obs, WaveSpansTileSyncAcrossMidWaveCrash)
+{
+    data::DataBundle bundle = tinyBundle();
+    core::SoCFlowConfig cfg = tinyConfig();
+    cfg.overlapCommCompute = false;
+    fault::FaultPlan plan;
+    fault::FaultSpec crash;
+    crash.kind = fault::FaultKind::SocCrashMidWave;
+    crash.step = 1;
+    crash.phase = fault::FaultPhase::Wave1;
+    crash.soc = 1;
+    plan.add(crash);
+    fault::FaultInjector inj(plan);
+
+    Tracer &t = tracer();
+    t.clear();
+    t.setEnabled(true);
+    core::SoCFlowTrainer trainer(cfg, bundle);
+    trainer.attachFaultInjector(&inj);
+    const core::EpochRecord rec = trainer.runEpoch();
+    t.setEnabled(false);
+    const auto events = t.snapshot();
+    t.clear();
+    ASSERT_EQ(rec.waveResumes, 1u);
+
+    const auto steps = simSpans(events, "step");
+    const auto updates = simSpans(events, "update");
+    const auto computes = simSpans(events, "compute");
+    const auto waves = simSpans(events, "sync wave");
+    ASSERT_GT(steps.size(), 2u);
+    ASSERT_EQ(updates.size(), steps.size());
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+        const auto inStep = [&](const Span &x) {
+            return x.start >= steps[i].start &&
+                   (i + 1 == steps.size() || x.start < steps[i + 1].start);
+        };
+        double computeEnd = steps[i].start, waveSum = 0.0;
+        for (const Span &c : computes)
+            if (inStep(c))
+                computeEnd = std::max(computeEnd, c.end);
+        for (const Span &w : waves)
+            if (inStep(w))
+                waveSum += w.end - w.start;
+        const double syncUs = updates[i].start - computeEnd;
+        ASSERT_GT(syncUs, 0.0) << "step " << i;
+        EXPECT_NEAR(waveSum, syncUs, 1e-9 * steps[i].end)
+            << "step " << i;
+    }
 }
 
 /** Sim-timeline spans of one run live on a monotone step sequence. */

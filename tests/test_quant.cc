@@ -109,9 +109,10 @@ TEST(Quantize, FakeQuantizeIdempotentDeterministic)
 namespace {
 
 /**
- * fakeQuantize's round-to-nearest path as it was: quantize into an
- * int32 buffer, then dequantize. The one-pass kernel must match it
- * bit for bit.
+ * fakeQuantize's round-to-nearest path as two passes: quantize into an
+ * int32 buffer, then dequantize, except that an element whose quotient
+ * is NaN comes out NaN. The one-pass kernel must match it bit for bit
+ * on every other element.
  */
 void
 twoPassFakeQuantize(Tensor &x, int bits)
@@ -127,10 +128,22 @@ twoPassFakeQuantize(Tensor &x, int bits)
         float r = std::nearbyint(x[i] * inv);
         r = std::clamp(r, static_cast<float>(-qmax),
                        static_cast<float>(qmax));
-        q[i] = static_cast<std::int32_t>(r);
+        q[i] = std::isnan(r) ? 0 : static_cast<std::int32_t>(r);
     }
-    for (std::size_t i = 0; i < n; ++i)
-        x[i] = static_cast<float>(q[i]) * scale;
+    for (std::size_t i = 0; i < n; ++i) {
+        x[i] = std::isnan(x[i] * inv)
+                   ? std::numeric_limits<float>::quiet_NaN()
+                   : static_cast<float>(q[i]) * scale;
+    }
+}
+
+/** Element i of `a` and `b` are both NaN or bit-identical. */
+bool
+sameBitsOrBothNaN(const Tensor &a, const Tensor &b, std::size_t i)
+{
+    if (std::isnan(a[i]) || std::isnan(b[i]))
+        return std::isnan(a[i]) && std::isnan(b[i]);
+    return std::memcmp(a.data() + i, b.data() + i, sizeof(float)) == 0;
 }
 
 /**
@@ -198,13 +211,35 @@ TEST(Quantize, FakeQuantizeBitExactWithTwoPassLoop)
                     cfg.stochasticRounding = false;
                     detail::fakeQuantizeWithIsa(isa, got, cfg, nullptr);
                     twoPassFakeQuantize(want, bits);
-                    EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                                          sizeof(float) * n),
-                              0)
-                        << "isa=" << static_cast<int>(isa)
-                        << " bits=" << bits << " inf=" << withInf
-                        << " n=" << n;
+                    for (std::size_t i = 0; i < n; ++i)
+                        EXPECT_TRUE(sameBitsOrBothNaN(got, want, i))
+                            << "isa=" << static_cast<int>(isa)
+                            << " bits=" << bits << " inf=" << withInf
+                            << " n=" << n << " i=" << i;
                 }
+}
+
+TEST(Quantize, NaNStaysNaNOnBothRoundingPaths)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const Tensor t = Tensor::fromValues({4}, {1.0f, nan, -0.5f, 2.0f});
+    QuantConfig cfg;
+    for (const bool stochastic : {false, true}) {
+        cfg.stochasticRounding = stochastic;
+        Rng rng(3);
+        Tensor got = t;
+        fakeQuantize(got, cfg, &rng);
+        EXPECT_TRUE(std::isnan(got[1])) << "stochastic=" << stochastic;
+        for (std::size_t i : {0u, 2u, 3u})
+            EXPECT_TRUE(std::isfinite(got[i])) << "i=" << i;
+    }
+    // quantize() gives NaN a defined integer: 0.
+    std::int32_t q[4];
+    cfg.stochasticRounding = false;
+    quantize(t.data(), 4, computeScale(t.data(), 4, cfg.bits), cfg,
+             nullptr, q);
+    EXPECT_EQ(q[1], 0);
+    EXPECT_EQ(q[3], quantMax(cfg.bits));
 }
 
 TEST(Quantize, FakeQuantizeNegativeZeroBecomesPositive)

@@ -176,20 +176,6 @@ TEST(SoCFlowTrainer, CorruptCheckpointThrowsAndTrainerSurvives)
     EXPECT_GT(trainer.runEpoch().simSeconds, 0.0);
 }
 
-TEST(SoCFlowTrainer, PreemptionShrinksGroupsAndContinues)
-{
-    data::DataBundle bundle = tinyBundle();
-    SoCFlowConfig cfg = tinyConfig();
-    cfg.numGroups = 4;
-    SoCFlowTrainer trainer(cfg, bundle);
-    trainer.runEpoch();
-    EXPECT_EQ(trainer.activeGroups(), 4u);
-    trainer.preemptGroup(1);
-    EXPECT_EQ(trainer.activeGroups(), 3u);
-    const EpochRecord rec = trainer.runEpoch();
-    EXPECT_GT(rec.simSeconds, 0.0);
-}
-
 TEST(SoCFlowTrainer, SetActiveGroupsGrowAndShrink)
 {
     data::DataBundle bundle = tinyBundle();
@@ -254,8 +240,7 @@ TEST(SoCFlowTrainer, PreemptToOneGroupStillTrains)
     cfg.numGroups = 4;
     SoCFlowTrainer trainer(cfg, bundle);
     trainer.runEpoch();
-    while (trainer.activeGroups() > 1)
-        trainer.preemptGroup(trainer.activeGroups() - 1);
+    trainer.setActiveGroups(1);
     EXPECT_EQ(trainer.activeGroups(), 1u);
 
     const double accBefore = trainer.testAccuracy();
@@ -277,16 +262,6 @@ TEST(SoCFlowTrainer, SetActiveGroupsBoundsAreFatal)
                 ::testing::ExitedWithCode(1), "active group");
     EXPECT_EXIT(trainer.setActiveGroups(3),
                 ::testing::ExitedWithCode(1), "active group");
-}
-
-TEST(SoCFlowTrainer, PreemptLastGroupIsFatal)
-{
-    data::DataBundle bundle = tinyBundle();
-    SoCFlowConfig cfg = tinyConfig();
-    cfg.numGroups = 1;
-    SoCFlowTrainer trainer(cfg, bundle);
-    EXPECT_EXIT(trainer.preemptGroup(0), ::testing::ExitedWithCode(1),
-                "last remaining");
 }
 
 TEST(SoCFlowTrainer, MappingMetadataExposed)
