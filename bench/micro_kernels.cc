@@ -253,6 +253,28 @@ BENCHMARK(BM_FakeQuantizeNearest)
     ->ArgNames({"n", "isa"})
     ->ArgsProduct({{2400, 1 << 16}, {0, 1}});
 
+/**
+ * computeScale's max-abs pass, which leads every fakeQuantize sweep,
+ * over LeNet-5's 30,986 weights: isa 0 is the baseline build, 1 the
+ * host's (AVX2 on x86).
+ */
+static void
+BM_ComputeScale(benchmark::State &state)
+{
+    const std::size_t n = static_cast<std::size_t>(state.range(0));
+    const auto isa = state.range(1) == 0 ? quant::detail::ScaleIsa::Baseline
+                                         : quant::detail::scaleHostIsa();
+    Rng rng(4);
+    const Tensor t = Tensor::randn({n}, rng);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            quant::detail::computeScaleWithIsa(isa, t.data(), n, 8));
+    state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ComputeScale)
+    ->ArgNames({"n", "isa"})
+    ->ArgsProduct({{30986}, {0, 1}});
+
 static void
 BM_Int8Gemm(benchmark::State &state)
 {

@@ -11,9 +11,12 @@
 #               chunk and GEMM row fan-outs run from the main thread,
 #               the tensor suite, whose GEMM differential test runs
 #               the row fan-out over per-thread transpose scratch at
-#               1 and 4 threads, and the quant and nn suites, whose
+#               1 and 4 threads, the quant and nn suites, whose
 #               INT8 and FP32 steps run at the same time as the two
-#               halves of a group step) under ThreadSanitizer
+#               halves of a group step, and the trainer and mixed-
+#               precision suites, whose per-epoch alpha probe runs its
+#               FP32 and INT8 passes as two pool items) under
+#               ThreadSanitizer
 #   --bench [tag]
 #               build Release into build-rel, run bench_e2e_throughput
 #               and fig10_scalability, write BENCH_<tag>.json (tag
@@ -130,13 +133,13 @@ if [ "$1" = "--chaos-nightly" ]; then
 fi
 
 if [ "$1" = "--tsan" ]; then
-    tsan_targets="test_obs_stream test_membership test_thread_pool test_parallel_determinism test_ps test_profiler test_ckpt test_conv test_tensor test_quant test_nn"
+    tsan_targets="test_obs_stream test_membership test_thread_pool test_parallel_determinism test_ps test_profiler test_ckpt test_conv test_tensor test_quant test_nn test_trainer test_mixed_precision"
     cmake -B build-tsan -S . -DSANITIZE=thread || exit 1
     cmake --build build-tsan -j $jobs --target $tsan_targets || exit 1
     ( set -o pipefail
       TSAN_OPTIONS=halt_on_error=1 \
           ctest --test-dir build-tsan --output-on-failure \
-              -R 'test_(obs_stream|membership|thread_pool|parallel_determinism|ps|profiler|ckpt|conv|tensor|quant|nn)$' 2>&1 |
+              -R 'test_(obs_stream|membership|thread_pool|parallel_determinism|ps|profiler|ckpt|conv|tensor|quant|nn|trainer|mixed_precision)$' 2>&1 |
           tee "$root/tsan_output.txt" ) || exit 1
     echo "TSAN_RUN_COMPLETE"
     exit 0

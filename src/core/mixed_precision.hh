@@ -55,7 +55,8 @@ class MixedPrecisionController
 
     /**
      * Eq. 5 merge: out = e^-alpha * fp32 + (1 - e^-alpha) * int8.
-     * All vectors must have identical size.
+     * All vectors must have identical size; `out` may be `w_fp32`
+     * itself (an in-place merge).
      */
     void mergeWeights(const std::vector<float> &w_fp32,
                       const std::vector<float> &w_int8,

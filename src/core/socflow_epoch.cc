@@ -278,17 +278,12 @@ SoCFlowTrainer::runGroupStep(EpochRun &ep, std::size_t step)
         if (!o.ran)
             return;
         GroupState &g = *groups[gi];
-        if (o.split > o.begin && o.split < o.end) {
-            std::vector<float> merged;
-            mpc.mergeWeights(g.fp32.flatParams(), g.int8.flatParams(),
-                             merged);
-            g.fp32.setFlatParams(merged);
-            g.int8.setFlatParams(merged);
-        } else if (o.split == o.begin) {
-            g.fp32.setFlatParams(g.int8.flatParams());
-        } else {
-            g.int8.setFlatParams(g.fp32.flatParams());
-        }
+        if (o.split > o.begin && o.split < o.end)
+            mergeReplicas(mpc, g.fp32, g.int8);
+        else if (o.split == o.begin)
+            g.fp32.copyParamsFrom(g.int8);
+        else
+            g.int8.copyParamsFrom(g.fp32);
         o.gSec = groupComputeSeconds(g, fCpu);
     });
 

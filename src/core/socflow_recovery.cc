@@ -667,6 +667,13 @@ SoCFlowTrainer::healMemberships()
             it = isolatedSocs.erase(it); // died while isolated
             continue;
         }
+        if (owningGroup(s) != groups.size()) {
+            // Back with a resumed parked group (a SocRejoin queued it
+            // while parked): that resume already caught it up and
+            // counted it.
+            it = isolatedSocs.erase(it);
+            continue;
+        }
         if (!reachableNow(s)) {
             ++it;
             continue;

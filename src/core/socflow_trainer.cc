@@ -9,6 +9,7 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
 
 namespace socflow {
 namespace core {
@@ -188,11 +189,22 @@ SoCFlowTrainer::profileAlpha()
     // FP32 and INT8 paths (UI8's direction-deviation metric, which
     // the paper builds on) reproduces the reported exponential decay
     // of alpha as training converges, so the probe uses gradients.
-    g.fp32.zeroGrad();
-    g.fp32.trainStep(x, y);
-    std::vector<float> gradFp = g.fp32.flatGrads();
-    g.fp32.zeroGrad();
-    std::vector<float> gradInt = g.int8Trainer->probeGradients(x, y);
+    // The FP32 and INT8 passes run as two pool items, like the two
+    // halves of a group step: they touch disjoint replicas (and only
+    // the INT8 trainer's own RNG), each writes only its own gradient
+    // vector, and alpha is formed after the join, so it is bit-exact
+    // at any thread count (DESIGN.md ch. 9).
+    std::vector<float> gradFp, gradInt;
+    globalThreadPool().parallelFor(2, [&](std::size_t it) {
+        if (it == 0) {
+            g.fp32.zeroGrad();
+            g.fp32.trainStep(x, y);
+            gradFp = g.fp32.flatGrads();
+            g.fp32.zeroGrad();
+        } else {
+            gradInt = g.int8Trainer->probeGradients(x, y);
+        }
+    });
 
     const std::size_t flat = gradFp.size();
     tensor::Tensor tf =

@@ -6,6 +6,7 @@
 #include "obs/metrics.hh"
 #include "obs/profiler.hh"
 #include "obs/trace.hh"
+#include "util/logging.hh"
 
 namespace socflow {
 namespace core {
@@ -134,6 +135,21 @@ chunkedAccuracy(const data::Dataset &test, const CorrectCounter &correct)
     }
     return static_cast<double>(right) /
            static_cast<double>(test.size());
+}
+
+void
+mergeReplicas(const MixedPrecisionController &mpc, nn::Model &fp32,
+              nn::Model &int8)
+{
+    const std::vector<nn::Param *> p32 = fp32.params();
+    const std::vector<nn::Param *> p8 = int8.params();
+    SOCFLOW_ASSERT(p32.size() == p8.size(),
+                   "replica parameter tensor count mismatch");
+    for (std::size_t i = 0; i < p32.size(); ++i) {
+        std::vector<float> &w = p32[i]->value.values();
+        mpc.mergeWeights(w, p8[i]->value.values(), w);
+    }
+    int8.copyParamsFrom(fp32);
 }
 
 double

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "core/mixed_precision.hh"
 #include "data/dataset.hh"
 #include "fault/fault.hh"
 #include "nn/zoo.hh"
@@ -177,6 +178,15 @@ double chunkedAccuracy(const data::Dataset &test,
 
 /** Fraction of `test` that `model` classifies correctly. */
 double testAccuracy(nn::Model &model, const data::Dataset &test);
+
+/**
+ * Eq. 5 on one group's replicas, in place and tensor by tensor: each
+ * FP32 tensor becomes mpc.mergeWeights(fp32, int8) and the INT8
+ * replica copies it. Bit-identical to merging the flat parameter
+ * vectors and setting both replicas from the result.
+ */
+void mergeReplicas(const MixedPrecisionController &mpc, nn::Model &fp32,
+                   nn::Model &int8);
 
 /**
  * One training step on the simulated timeline. Every group computes

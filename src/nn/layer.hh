@@ -5,6 +5,12 @@
  * Layers cache what they need during forward() and release gradients
  * during backward(). Parameters are exposed as (value, grad) pairs so
  * optimizers and collectives can treat a model as one flat vector.
+ *
+ * One backward per forward: a training forward (train = true) fills
+ * the layer's cache (its input, argmax indices, a pre-activation
+ * sum), and backward() or backwardParams() consumes and frees it. So
+ * no replica holds activations between steps, and a second backward
+ * without a fresh training forward trips a SOCFLOW_ASSERT.
  */
 
 #ifndef SOCFLOW_NN_LAYER_HH
@@ -51,7 +57,8 @@ class Layer
 
     /**
      * Backpropagate through the layer, accumulating parameter
-     * gradients and returning the input gradient.
+     * gradients and returning the input gradient. Consumes the cache
+     * of the last training forward().
      */
     virtual Tensor backward(const Tensor &grad_out) = 0;
 
@@ -74,6 +81,15 @@ class Layer
 
     /** Deep copy with identical parameter values. */
     virtual std::unique_ptr<Layer> clone() const = 0;
+
+  protected:
+    /**
+     * Hand a forward cache (a Tensor, or an index vector or Shape) to
+     * backward and leave the layer without one: the moved-from cache
+     * is empty, so a second backward trips a SOCFLOW_ASSERT.
+     */
+    static Tensor takeCache(Tensor &cache);
+    static std::vector<std::size_t> takeCache(std::vector<std::size_t> &cache);
 };
 
 } // namespace nn

@@ -11,6 +11,20 @@ namespace nn {
 using tensor::ConvGeom;
 using tensor::Shape;
 
+Tensor
+Layer::takeCache(Tensor &cache)
+{
+    SOCFLOW_ASSERT(!cache.empty(), "backward without a fresh forward");
+    return std::move(cache);
+}
+
+std::vector<std::size_t>
+Layer::takeCache(std::vector<std::size_t> &cache)
+{
+    SOCFLOW_ASSERT(!cache.empty(), "backward without a fresh forward");
+    return std::move(cache);
+}
+
 // ---------------------------------------------------------------- Dense
 
 Dense::Dense(std::size_t in_features, std::size_t out_features, Rng &rng)
@@ -49,7 +63,8 @@ Dense::backward(const Tensor &grad_out)
 void
 Dense::backwardParams(const Tensor &grad_out)
 {
-    tensor::gemm(grad_out, true, cachedInput, false, weight.grad, 1.0f);
+    tensor::gemm(grad_out, true, takeCache(cachedInput), false,
+                 weight.grad, 1.0f);
     tensor::biasGradRows(grad_out, bias.grad);
 }
 
@@ -109,19 +124,21 @@ Conv2D::forward(const Tensor &x, bool train)
 Tensor
 Conv2D::backward(const Tensor &grad_out)
 {
+    const Tensor x = takeCache(cachedInput);
     tensor::biasGradChannels(grad_out, bias.grad);
-    Tensor gradIn(cachedInput.shape());
-    tensor::conv2dBackward(cachedInput, weight.value, g, grad_out,
-                           &gradIn, weight.grad);
+    Tensor gradIn(x.shape());
+    tensor::conv2dBackward(x, weight.value, g, grad_out, &gradIn,
+                           weight.grad);
     return gradIn;
 }
 
 void
 Conv2D::backwardParams(const Tensor &grad_out)
 {
+    const Tensor x = takeCache(cachedInput);
     tensor::biasGradChannels(grad_out, bias.grad);
-    tensor::conv2dBackward(cachedInput, weight.value, g, grad_out,
-                           nullptr, weight.grad);
+    tensor::conv2dBackward(x, weight.value, g, grad_out, nullptr,
+                           weight.grad);
 }
 
 std::vector<Param *>
@@ -179,10 +196,11 @@ DepthwiseConv2D::forward(const Tensor &x, bool train)
 Tensor
 DepthwiseConv2D::backward(const Tensor &grad_out)
 {
+    const Tensor x = takeCache(cachedInput);
     tensor::biasGradChannels(grad_out, bias.grad);
-    Tensor gradIn(cachedInput.shape());
-    tensor::depthwiseConv2dBackward(cachedInput, weight.value, g,
-                                    grad_out, &gradIn, weight.grad);
+    Tensor gradIn(x.shape());
+    tensor::depthwiseConv2dBackward(x, weight.value, g, grad_out,
+                                    &gradIn, weight.grad);
     return gradIn;
 }
 
@@ -224,7 +242,7 @@ Tensor
 ReLU::backward(const Tensor &grad_out)
 {
     Tensor gradIn(grad_out.shape());
-    tensor::reluBackward(cachedInput, grad_out, gradIn);
+    tensor::reluBackward(takeCache(cachedInput), grad_out, gradIn);
     return gradIn;
 }
 
@@ -247,17 +265,21 @@ MaxPool2D::forward(const Tensor &x, bool train)
     const std::size_t ho = tensor::convOutDim(x.dim(2), kernel, stride, 0);
     const std::size_t wo = tensor::convOutDim(x.dim(3), kernel, stride, 0);
     Tensor out({x.dim(0), x.dim(1), ho, wo});
-    tensor::maxPool2dForward(x, kernel, stride, out, argmax);
-    if (train)
+    // Only a training forward keeps the argmax indices.
+    std::vector<std::size_t> idx;
+    tensor::maxPool2dForward(x, kernel, stride, out, idx);
+    if (train) {
         cachedInShape = x.shape();
+        argmax = std::move(idx);
+    }
     return out;
 }
 
 Tensor
 MaxPool2D::backward(const Tensor &grad_out)
 {
-    Tensor gradIn(cachedInShape);
-    tensor::maxPool2dBackward(grad_out, argmax, gradIn);
+    Tensor gradIn(takeCache(cachedInShape));
+    tensor::maxPool2dBackward(grad_out, takeCache(argmax), gradIn);
     return gradIn;
 }
 
@@ -282,9 +304,9 @@ GlobalAvgPool::forward(const Tensor &x, bool train)
 Tensor
 GlobalAvgPool::backward(const Tensor &grad_out)
 {
-    Tensor gradIn(cachedInShape);
-    tensor::globalAvgPoolBackward(grad_out, cachedInShape[2],
-                                  cachedInShape[3], gradIn);
+    const Shape shape = takeCache(cachedInShape);
+    Tensor gradIn(shape);
+    tensor::globalAvgPoolBackward(grad_out, shape[2], shape[3], gradIn);
     return gradIn;
 }
 
@@ -310,7 +332,7 @@ Tensor
 Flatten::backward(const Tensor &grad_out)
 {
     Tensor gradIn = grad_out;
-    gradIn.reshape(cachedInShape);
+    gradIn.reshape(takeCache(cachedInShape));
     return gradIn;
 }
 

@@ -150,5 +150,19 @@ Model::setFlatGrads(const std::vector<float> &flat)
     }
 }
 
+void
+Model::copyParamsFrom(Model &other)
+{
+    const std::vector<Param *> mine = net->params();
+    const std::vector<Param *> theirs = other.net->params();
+    SOCFLOW_ASSERT(mine.size() == theirs.size(),
+                   "parameter tensor count mismatch");
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+        SOCFLOW_ASSERT(mine[i]->value.shape() == theirs[i]->value.shape(),
+                       "parameter shape mismatch");
+        mine[i]->value = theirs[i]->value;
+    }
+}
+
 } // namespace nn
 } // namespace socflow

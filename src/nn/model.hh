@@ -73,6 +73,12 @@ class Model
     /** Overwrite gradients from a flat vector (size must match). */
     void setFlatGrads(const std::vector<float> &flat);
 
+    /**
+     * Copy every parameter value of `other`, a model of the same
+     * architecture, tensor by tensor (no flat vector in between).
+     */
+    void copyParamsFrom(Model &other);
+
   private:
     std::string name_;
     std::unique_ptr<Layer> net;

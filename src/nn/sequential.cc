@@ -97,7 +97,7 @@ Tensor
 Residual::backward(const Tensor &grad_out)
 {
     Tensor gradSum(grad_out.shape());
-    tensor::reluBackward(cachedSum, grad_out, gradSum);
+    tensor::reluBackward(takeCache(cachedSum), grad_out, gradSum);
     Tensor gradMain = main->backward(gradSum);
     if (shortcut) {
         Tensor gradSkip = shortcut->backward(gradSum);

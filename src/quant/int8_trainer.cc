@@ -1,5 +1,7 @@
 #include "quant/int8_trainer.hh"
 
+#include <utility>
+
 namespace socflow {
 namespace quant {
 
@@ -9,29 +11,34 @@ Int8Trainer::Int8Trainer(nn::Model &model, nn::SgdConfig sgd_cfg,
 {
 }
 
-std::vector<float>
+void
 Int8Trainer::pushQuantizedWeights()
 {
-    std::vector<float> saved = model_.flatParams();
-    for (nn::Param *p : model_.params())
-        fakeQuantize(p->value, qcfg, nullptr);
-    return saved;
+    const std::vector<nn::Param *> ps = model_.params();
+    shadow.resize(ps.size());
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+        shadow[i] = ps[i]->value;
+        fakeQuantize(shadow[i], qcfg, nullptr);
+        std::swap(ps[i]->value, shadow[i]);
+    }
 }
 
 void
-Int8Trainer::popWeights(const std::vector<float> &saved)
+Int8Trainer::popWeights()
 {
-    model_.setFlatParams(saved);
+    const std::vector<nn::Param *> ps = model_.params();
+    for (std::size_t i = 0; i < ps.size(); ++i)
+        std::swap(ps[i]->value, shadow[i]);
 }
 
 nn::StepResult
 Int8Trainer::trainStep(const Tensor &x, const std::vector<int> &labels)
 {
     // Forward/backward under quantized weights.
-    const std::vector<float> master = pushQuantizedWeights();
+    pushQuantizedWeights();
     model_.zeroGrad();
     nn::StepResult r = model_.trainStep(x, labels);
-    popWeights(master);
+    popWeights();
 
     // Quantize the gradients before the update. The fixed-point
     // pipeline rounds to nearest: per-tensor scales are set by the
@@ -61,10 +68,10 @@ std::vector<float>
 Int8Trainer::probeGradients(const Tensor &x,
                             const std::vector<int> &labels)
 {
-    const std::vector<float> master = pushQuantizedWeights();
+    pushQuantizedWeights();
     model_.zeroGrad();
     model_.trainStep(x, labels);
-    popWeights(master);
+    popWeights();
     for (nn::Param *p : model_.params())
         fakeQuantize(p->grad, qcfg, &rng);
     std::vector<float> grads = model_.flatGrads();
@@ -75,9 +82,9 @@ Int8Trainer::probeGradients(const Tensor &x,
 Tensor
 Int8Trainer::logits(const Tensor &x)
 {
-    const std::vector<float> master = pushQuantizedWeights();
+    pushQuantizedWeights();
     Tensor out = model_.logits(x, false);
-    popWeights(master);
+    popWeights();
     return out;
 }
 

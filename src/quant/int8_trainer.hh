@@ -67,16 +67,23 @@ class Int8Trainer
     const QuantConfig &quantConfig() const { return qcfg; }
 
   private:
-    /** Swap fake-quantized weights in; returns the saved masters. */
-    std::vector<float> pushQuantizedWeights();
+    /**
+     * Fake-quantize each master tensor into its shadow and swap the
+     * shadow into the model, so forward/backward read the quantized
+     * weights while the masters wait in `shadow`.
+     */
+    void pushQuantizedWeights();
 
-    /** Restore master weights saved by pushQuantizedWeights(). */
-    void popWeights(const std::vector<float> &saved);
+    /** Swap the masters saved by pushQuantizedWeights() back in. */
+    void popWeights();
 
     nn::Model &model_;
     nn::Sgd sgd;
     QuantConfig qcfg;
     Rng rng;
+    /** One tensor per Param: quantized weights, or the masters while
+     *  those are swapped out. Reused across steps. */
+    std::vector<Tensor> shadow;
 };
 
 } // namespace quant

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "util/logging.hh"
 
@@ -15,15 +16,104 @@ quantMax(int bits)
     return (1 << (bits - 1)) - 1;
 }
 
-float
-computeScale(const float *x, std::size_t n, int bits)
+namespace {
+
+using F4 = float __attribute__((vector_size(16)));
+using F8 = float __attribute__((vector_size(32)));
+
+/**
+ * max|x[i]| on two accumulators of vector type V, then across their
+ * lanes and the scalar tail. Every step keeps `a > m ? a : m`, the
+ * scalar loop's std::max(m, a): a NaN never becomes the max. Without
+ * NaNs a max does not depend on order, and |x| has no -0.0, so every
+ * build returns the scalar loop's bits.
+ */
+template <typename V>
+[[gnu::always_inline]] inline float
+maxAbsBody(const float *x, std::size_t n)
 {
+    using Bits = decltype(V{} > V{});
+    constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
+    V m0 = {}, m1 = {};
+    std::size_t i = 0;
+    for (; i + 2 * kLanes <= n; i += 2 * kLanes) {
+        V a, b;
+        std::memcpy(&a, x + i, sizeof a);
+        std::memcpy(&b, x + i + kLanes, sizeof b);
+        a = (V)((Bits)a & 0x7fffffff);
+        b = (V)((Bits)b & 0x7fffffff);
+        m0 = a > m0 ? a : m0;
+        m1 = b > m1 ? b : m1;
+    }
     float mx = 0.0f;
-    for (std::size_t i = 0; i < n; ++i)
-        mx = std::max(mx, std::abs(x[i]));
+    for (; i < n; ++i) {
+        const float a = std::abs(x[i]);
+        mx = a > mx ? a : mx;
+    }
+    for (std::size_t j = 0; j < kLanes; ++j) {
+        mx = m0[j] > mx ? m0[j] : mx;
+        mx = m1[j] > mx ? m1[j] : mx;
+    }
+    return mx;
+}
+
+/** maxAbsBody at the baseline ISA: 128-bit vectors (maxps on x86). */
+float
+maxAbsBaseline(const float *x, std::size_t n)
+{
+    return maxAbsBody<F4>(x, n);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+/** maxAbsBody on AVX2's 256-bit vectors. */
+[[gnu::target("avx2")]] float
+maxAbsAvx2(const float *x, std::size_t n)
+{
+    return maxAbsBody<F8>(x, n);
+}
+#endif
+
+} // namespace
+
+namespace detail {
+
+ScaleIsa
+scaleHostIsa()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    static const ScaleIsa isa = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("avx2") ? ScaleIsa::Avx2
+                                              : ScaleIsa::Baseline;
+    }();
+    return isa;
+#else
+    return ScaleIsa::Baseline;
+#endif
+}
+
+float
+computeScaleWithIsa(ScaleIsa isa, const float *x, std::size_t n, int bits)
+{
+    SOCFLOW_ASSERT(isa == ScaleIsa::Baseline || isa == scaleHostIsa(),
+                   "max-abs kernel build not supported on this host");
+#if defined(__x86_64__) || defined(__i386__)
+    const float mx =
+        isa == ScaleIsa::Avx2 ? maxAbsAvx2(x, n) : maxAbsBaseline(x, n);
+#else
+    const float mx = maxAbsBaseline(x, n);
+#endif
     if (mx == 0.0f)
         return 0.0f;
     return mx / static_cast<float>(quantMax(bits));
+}
+
+} // namespace detail
+
+float
+computeScale(const float *x, std::size_t n, int bits)
+{
+    return detail::computeScaleWithIsa(detail::scaleHostIsa(), x, n, bits);
 }
 
 namespace {

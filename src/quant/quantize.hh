@@ -33,8 +33,9 @@ struct QuantConfig {
 int quantMax(int bits);
 
 /**
- * Symmetric per-tensor scale: max|x| / quantMax. Returns 0 for an
- * all-zero tensor (quantization is then a no-op).
+ * Symmetric per-tensor scale: max|x| / quantMax, where the max skips
+ * NaNs. Returns 0 for an all-zero tensor (quantization is then a
+ * no-op).
  */
 float computeScale(const float *x, std::size_t n, int bits);
 
@@ -59,6 +60,24 @@ void dequantize(const std::int32_t *q, std::size_t n, float scale,
 void fakeQuantize(Tensor &x, const QuantConfig &cfg, Rng *rng = nullptr);
 
 namespace detail {
+
+/**
+ * Builds of computeScale()'s max-abs pass. Both give bit-identical
+ * results, NaN rule included; Avx2 runs on 256-bit vectors and exists
+ * only on x86.
+ */
+enum class ScaleIsa { Baseline, Avx2 };
+
+/** The build computeScale() runs on this host: Avx2 when it has it. */
+ScaleIsa scaleHostIsa();
+
+/**
+ * computeScale() with its max-abs build pinned to `isa`, so a test can
+ * run both builds on one host. `isa` must be Baseline or
+ * scaleHostIsa().
+ */
+float computeScaleWithIsa(ScaleIsa isa, const float *x, std::size_t n,
+                          int bits);
 
 /**
  * Builds of fakeQuantize()'s round-to-nearest pass. Both give

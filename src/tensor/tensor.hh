@@ -65,9 +65,16 @@ class Tensor
     /** Total element count. */
     std::size_t numel() const { return data_.size(); }
 
+    /** True when the tensor holds no elements. */
+    bool empty() const { return data_.empty(); }
+
     /** Raw storage. */
     float *data() { return data_.data(); }
     const float *data() const { return data_.data(); }
+
+    /** Raw storage as a vector, for APIs that take one; its size must
+     *  stay numel(). */
+    std::vector<float> &values() { return data_; }
 
     /** Flat element access with bounds checking in debug builds. */
     float &operator[](std::size_t i) { return data_[i]; }

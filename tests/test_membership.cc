@@ -446,6 +446,54 @@ expectLiveMappingOptimal(const core::SoCFlowTrainer &trainer,
 
 } // namespace
 
+TEST(MembershipTrainer, RejoinQueuedWhileParkedIsCaughtUpOnce)
+{
+    // Board 1 (SoCs 5-9, all of group 1) is cut at epoch 1 for two
+    // epochs, and a SocRejoin of SoC 7 lands at epoch 2 while its group
+    // is parked, so it queues for the heal. At the heal (epoch 3) the
+    // parked group returns with SoC 7 in it: five SoCs rejoin, each
+    // caught up once, exactly as without the queued rejoin.
+    core::EpochRecord heal[2];
+    for (const bool queueRejoin : {false, true}) {
+        data::DataBundle bundle = tinyBundle();
+        core::SoCFlowTrainer trainer(tinyConfig(10, 2), bundle);
+        FaultPlan plan;
+        FaultSpec cut;
+        cut.kind = FaultKind::BoardPartition;
+        cut.epoch = 1;
+        cut.board = 1;
+        cut.durationEpochs = 2;
+        plan.add(cut);
+        if (queueRejoin) {
+            FaultSpec rejoin;
+            rejoin.kind = FaultKind::SocRejoin;
+            rejoin.epoch = 2;
+            rejoin.soc = 7;
+            plan.add(rejoin);
+        }
+        FaultInjector inj(plan);
+        trainer.attachFaultInjector(&inj);
+        for (int e = 0; e < 3; ++e)
+            trainer.runEpoch();
+        ASSERT_EQ(trainer.pausedGroupCount(), 1u);
+        heal[queueRejoin] = trainer.runEpoch();
+        EXPECT_EQ(trainer.pausedGroupCount(), 0u);
+        std::size_t members = 0;
+        std::set<SocId> live;
+        for (std::size_t g = 0; g < trainer.activeGroups(); ++g)
+            for (SocId s : trainer.groupMembers(g)) {
+                live.insert(s);
+                ++members;
+            }
+        EXPECT_EQ(live.size(), 10u);
+        EXPECT_EQ(members, 10u);
+    }
+    EXPECT_EQ(heal[0].rejoins, 5u);
+    EXPECT_EQ(heal[1].rejoins, 5u) << "SoC 7 counted twice";
+    EXPECT_EQ(heal[1].recoverySeconds, heal[0].recoverySeconds)
+        << "SoC 7 caught up twice";
+}
+
 TEST(MembershipTrainer, RejoinRemapPreservesTheorems)
 {
     data::DataBundle bundle = tinyBundle();

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/mixed_precision.hh"
+#include "core/train_common.hh"
+#include "nn/zoo.hh"
 #include "tensor/tensor.hh"
 #include "util/rng.hh"
 
@@ -114,6 +117,58 @@ TEST(MixedPrecision, MergeSizeMismatchPanics)
     MixedPrecisionController mpc(10.0, 2.5);
     std::vector<float> a = {1.0f}, b = {1.0f, 2.0f}, out;
     EXPECT_DEATH(mpc.mergeWeights(a, b, out), "mismatch");
+}
+
+TEST(MixedPrecision, MergeWeightsInPlaceMatchesSeparateOut)
+{
+    MixedPrecisionController mpc(10.0, 2.5);
+    mpc.setAlpha(0.37);
+    Rng rng(5);
+    std::vector<float> fp32(1000), int8(1000), want;
+    for (std::size_t i = 0; i < fp32.size(); ++i) {
+        fp32[i] = static_cast<float>(rng.gaussian());
+        int8[i] = static_cast<float>(rng.gaussian());
+    }
+    mpc.mergeWeights(fp32, int8, want);
+    mpc.mergeWeights(fp32, int8, fp32);
+    EXPECT_EQ(std::memcmp(fp32.data(), want.data(),
+                          sizeof(float) * want.size()),
+              0);
+}
+
+TEST(MixedPrecision, MergeReplicasMatchesFlatMerge)
+{
+    // The group step's tensor-by-tensor Eq. 5 merge equals merging the
+    // flat parameter vectors and setting both replicas from the
+    // result, bit for bit, on a conv net and an MLP.
+    for (const char *family : {"lenet5", "mlp"}) {
+        Rng rng(11);
+        const nn::NetSpec spec{1, 12, 12, 4};
+        nn::Model fp32 = nn::buildModel(family, spec, rng);
+        nn::Model int8 = nn::buildModel(family, spec, rng);
+        nn::Model wantFp32 = fp32, wantInt8 = int8;
+        MixedPrecisionController mpc(10.0, 2.5);
+        mpc.setAlpha(0.61);
+
+        std::vector<float> merged;
+        mpc.mergeWeights(wantFp32.flatParams(), wantInt8.flatParams(),
+                         merged);
+        wantFp32.setFlatParams(merged);
+        wantInt8.setFlatParams(merged);
+        mergeReplicas(mpc, fp32, int8);
+
+        const std::vector<float> got32 = fp32.flatParams();
+        const std::vector<float> got8 = int8.flatParams();
+        ASSERT_EQ(got32.size(), merged.size()) << family;
+        EXPECT_EQ(std::memcmp(got32.data(), merged.data(),
+                              sizeof(float) * merged.size()),
+                  0)
+            << family;
+        EXPECT_EQ(std::memcmp(got8.data(), merged.data(),
+                              sizeof(float) * merged.size()),
+                  0)
+            << family;
+    }
 }
 
 TEST(MixedPrecision, InvalidTimesPanic)

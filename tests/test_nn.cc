@@ -468,6 +468,46 @@ TEST(BackwardParams, FirstLayerGradsMatchFullBackward)
     }
 }
 
+TEST(LayerContract, OneBackwardPerForward)
+{
+    // backward() consumes the cache of the last training forward, so
+    // a second backward (or backwardParams) without a fresh one trips
+    // an assert, and so does a backward after an evaluation forward.
+    Rng rng(23);
+    std::vector<std::pair<std::unique_ptr<Layer>, Tensor>> cases;
+    cases.emplace_back(std::make_unique<Dense>(4, 3, rng),
+                       Tensor::randn({2, 4}, rng));
+    cases.emplace_back(
+        std::make_unique<Conv2D>(tensor::ConvGeom{2, 3, 3, 1, 1}, rng),
+        Tensor::randn({2, 2, 5, 5}, rng));
+    cases.emplace_back(std::make_unique<DepthwiseConv2D>(2, 3, 1, 1, rng),
+                       Tensor::randn({2, 2, 5, 5}, rng));
+    cases.emplace_back(std::make_unique<ReLU>(), Tensor::randn({2, 6}, rng));
+    cases.emplace_back(std::make_unique<MaxPool2D>(2, 2),
+                       Tensor::randn({2, 2, 4, 4}, rng));
+    cases.emplace_back(std::make_unique<GlobalAvgPool>(),
+                       Tensor::randn({2, 2, 4, 4}, rng));
+    cases.emplace_back(std::make_unique<Flatten>(),
+                       Tensor::randn({2, 2, 3, 3}, rng));
+    cases.emplace_back(std::make_unique<Residual>(std::make_unique<ReLU>()),
+                       Tensor::randn({2, 2, 3, 3}, rng));
+    cases.emplace_back(lenetStack(rng), Tensor::randn({2, 1, 12, 12}, rng));
+    for (auto &[layer, x] : cases) {
+        const Tensor gradOut(layer->forward(x, true).shape(), 1.0f);
+        layer->backward(gradOut);
+        EXPECT_DEATH(layer->backward(gradOut), "fresh forward")
+            << layer->name();
+        EXPECT_DEATH(layer->backwardParams(gradOut), "fresh forward")
+            << layer->name();
+        layer->forward(x, false);
+        EXPECT_DEATH(layer->backward(gradOut), "fresh forward")
+            << layer->name();
+        // A fresh training forward re-arms it.
+        layer->forward(x, true);
+        layer->backwardParams(gradOut);
+    }
+}
+
 TEST(BackwardParams, ModelTrainStepMatchesFullBackward)
 {
     // Model::trainStep skips the input gradient; its parameter

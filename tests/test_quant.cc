@@ -274,6 +274,96 @@ TEST(Quantize, FakeQuantizeStochasticPathUnchanged)
     EXPECT_EQ(a.uniform(), b.uniform()); // same number of draws
 }
 
+namespace {
+
+/** computeScale() before its vector builds: one scalar std::max loop. */
+float
+scalarScale(const float *x, std::size_t n, int bits)
+{
+    float mx = 0.0f;
+    for (std::size_t i = 0; i < n; ++i)
+        mx = std::max(mx, std::abs(x[i]));
+    if (mx == 0.0f)
+        return 0.0f;
+    return mx / static_cast<float>(quantMax(bits));
+}
+
+std::vector<detail::ScaleIsa>
+scaleIsas()
+{
+    std::vector<detail::ScaleIsa> isas = {detail::ScaleIsa::Baseline};
+    if (detail::scaleHostIsa() != detail::ScaleIsa::Baseline)
+        isas.push_back(detail::scaleHostIsa());
+    return isas;
+}
+
+} // namespace
+
+TEST(Quantize, ComputeScaleBitExactWithScalarLoop)
+{
+    // Finite values, +-0, denormals, NaN and (withInf) +-inf, at
+    // lengths around the vector widths and LeNet's 30,986 weights.
+    const std::size_t lengths[] = {1, 7, 8, 15, 16, 17, 31, 33, 1024,
+                                   30986};
+    for (const detail::ScaleIsa isa : scaleIsas())
+        for (int bits : {4, 8, 16})
+            for (bool withInf : {false, true})
+                for (std::size_t n : lengths) {
+                    const Tensor t = roundingInputs(n, withInf, n + bits);
+                    const float got =
+                        detail::computeScaleWithIsa(isa, t.data(), n, bits);
+                    const float want = scalarScale(t.data(), n, bits);
+                    EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+                        << "isa=" << static_cast<int>(isa)
+                        << " bits=" << bits << " inf=" << withInf
+                        << " n=" << n;
+                }
+}
+
+TEST(Quantize, ComputeScaleNaNNeverBecomesTheMax)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const float tiny = std::numeric_limits<float>::denorm_min();
+    std::vector<std::vector<float>> cases = {
+        std::vector<float>(37, nan),           // all NaN: scale 0
+        std::vector<float>(40, -0.0f),         // only -0.0: scale 0
+        {nan, 1.0f, -2.0f, nan},
+        {-tiny, tiny, 0.0f, -0.0f, 3.0f * tiny, nan, -0.0f, tiny, tiny},
+        {-inf, 1.0f, nan, 2.0f},
+    };
+    // The largest |x| at every position (every lane of both vector
+    // builds, and the scalar tail), with NaNs after it in its lane of
+    // either build and smaller values after those.
+    for (std::size_t at = 0; at < 67; ++at) {
+        std::vector<float> v(67, 0.25f);
+        v[at] = -7.5f;
+        for (std::size_t k = 8; at + k < v.size(); k += 8)
+            v[at + k] = nan;
+        cases.push_back(v);
+    }
+    for (const detail::ScaleIsa isa : scaleIsas())
+        for (std::size_t c = 0; c < cases.size(); ++c) {
+            const std::vector<float> &v = cases[c];
+            const float got =
+                detail::computeScaleWithIsa(isa, v.data(), v.size(), 8);
+            const float want = scalarScale(v.data(), v.size(), 8);
+            EXPECT_FALSE(std::isnan(got)) << "case " << c;
+            EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+                << "isa=" << static_cast<int>(isa) << " case " << c;
+        }
+}
+
+TEST(Quantize, ScaleHostIsaIsAvailableBuild)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    EXPECT_EQ(detail::scaleHostIsa() == detail::ScaleIsa::Avx2,
+              __builtin_cpu_supports("avx2") != 0);
+#else
+    EXPECT_EQ(detail::scaleHostIsa(), detail::ScaleIsa::Baseline);
+#endif
+}
+
 TEST(Quantize, RoundHostIsaIsAvailableBuild)
 {
 #if defined(__x86_64__) || defined(__i386__)
@@ -400,6 +490,81 @@ TEST(Int8Trainer, WeightsLiveOnIntegerGrid)
                 << p->name << "[" << i << "]";
         }
     }
+}
+
+namespace {
+
+/**
+ * Int8Trainer::trainStep as it was before its shadow weights: the
+ * masters copied out to a flat vector and back around the pass.
+ */
+nn::StepResult
+copyRoundTripStep(nn::Model &m, nn::Sgd &sgd, const Tensor &x,
+                  const std::vector<int> &y)
+{
+    const std::vector<float> master = m.flatParams();
+    for (nn::Param *p : m.params())
+        fakeQuantize(p->value, QuantConfig{}, nullptr);
+    m.zeroGrad();
+    const nn::StepResult r = m.trainStep(x, y);
+    m.setFlatParams(master);
+    QuantConfig nearest;
+    nearest.stochasticRounding = false;
+    for (nn::Param *p : m.params())
+        fakeQuantize(p->grad, nearest, nullptr);
+    sgd.step();
+    for (nn::Param *p : m.params())
+        fakeQuantize(p->value, nearest, nullptr);
+    return r;
+}
+
+bool
+sameFloats(const std::vector<float> &a, const std::vector<float> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+}
+
+} // namespace
+
+TEST(Int8Trainer, ShadowWeightsMatchCopyRoundTrip)
+{
+    // Swapping quantized shadow tensors in and out leaves weights,
+    // gradients, losses and the probe's stochastic gradients bit-equal
+    // to copying the masters out and back.
+    Rng rng(10);
+    const nn::NetSpec spec{1, 12, 12, 4};
+    nn::Model got = nn::buildModel("lenet5", spec, rng);
+    nn::Model want = got;
+    nn::SgdConfig scfg;
+    scfg.learningRate = 0.05;
+    scfg.momentum = 0.9;
+    Int8Trainer trainer(got, scfg, QuantConfig{});
+    nn::Sgd wantSgd(want, scfg);
+    const Tensor x = Tensor::randn({6, 1, 12, 12}, rng);
+    const std::vector<int> y = {0, 1, 2, 3, 0, 1};
+    for (int step = 0; step < 4; ++step) {
+        const nn::StepResult a = trainer.trainStep(x, y);
+        const nn::StepResult b = copyRoundTripStep(want, wantSgd, x, y);
+        EXPECT_EQ(std::memcmp(&a.loss, &b.loss, sizeof a.loss), 0)
+            << "step " << step;
+        EXPECT_TRUE(sameFloats(got.flatParams(), want.flatParams()))
+            << "step " << step;
+        EXPECT_TRUE(sameFloats(got.flatGrads(), want.flatGrads()))
+            << "step " << step;
+    }
+
+    Rng probeRng(17); // Int8Trainer's default seed
+    const std::vector<float> master = want.flatParams();
+    for (nn::Param *p : want.params())
+        fakeQuantize(p->value, QuantConfig{}, nullptr);
+    want.zeroGrad();
+    want.trainStep(x, y);
+    want.setFlatParams(master);
+    for (nn::Param *p : want.params())
+        fakeQuantize(p->grad, QuantConfig{}, &probeRng);
+    EXPECT_TRUE(sameFloats(trainer.probeGradients(x, y), want.flatGrads()));
+    EXPECT_TRUE(sameFloats(got.flatParams(), want.flatParams()));
 }
 
 TEST(Int8Trainer, LogitsComputedUnderQuantizedWeights)

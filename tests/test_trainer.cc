@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/checkpoint.hh"
 #include "core/socflow_trainer.hh"
 #include "core/train_common.hh"
 #include "data/synthetic.hh"
+#include "util/thread_pool.hh"
 
 using namespace socflow;
 using namespace socflow::core;
@@ -114,6 +117,38 @@ TEST(SoCFlowTrainer, AlphaBetaExposed)
     EXPECT_GE(trainer.alpha(), 0.0);
     EXPECT_LE(trainer.alpha(), 1.0);
     EXPECT_GE(trainer.cpuFraction(), 1.0 - trainer.beta());
+}
+
+TEST(SoCFlowTrainer, AlphaProbeBitExactAcrossThreadCounts)
+{
+    // The per-epoch alpha probe runs its FP32 and INT8 passes as two
+    // pool items; alpha and the CPU fraction it sets must not depend
+    // on the thread count, and the two passes' gradients must stay
+    // distinct (alpha < 1), on an MLP and on a conv net.
+    for (const char *family : {"mlp", "lenet5"}) {
+        std::vector<double> runs[2];
+        for (std::size_t threads : {1, 4}) {
+            setGlobalThreads(threads);
+            data::DataBundle bundle = tinyBundle();
+            SoCFlowConfig cfg = tinyConfig();
+            cfg.modelFamily = family;
+            SoCFlowTrainer trainer(cfg, bundle);
+            std::vector<double> &seen = runs[threads == 1 ? 0 : 1];
+            for (int e = 0; e < 3; ++e) {
+                trainer.runEpoch();
+                seen.push_back(trainer.alpha());
+                seen.push_back(trainer.cpuFraction());
+                EXPECT_GT(trainer.alpha(), 0.0) << family << " epoch " << e;
+                EXPECT_LT(trainer.alpha(), 1.0) << family << " epoch " << e;
+            }
+        }
+        setGlobalThreads(0);
+        ASSERT_EQ(runs[0].size(), runs[1].size());
+        EXPECT_EQ(std::memcmp(runs[0].data(), runs[1].data(),
+                              sizeof(double) * runs[0].size()),
+                  0)
+            << family;
+    }
 }
 
 TEST(SoCFlowTrainer, FixedFractionOverridesController)
