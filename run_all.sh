@@ -30,12 +30,17 @@
 #   --chaos     run the fault + streaming-obs + membership + parallel
 #               determinism + fleet topology + sharded-PS suites
 #               under ASan+UBSan with 10 fixed chaos seeds
-#               (SOCFLOW_CHAOS_SEED); fails on any sanitizer report or
+#               (SOCFLOW_CHAOS_SEED); fails on any sanitizer report,
 #               non-deterministic replay (the ChaosReplay tests hash
 #               each seed's fault timeline -- including partition,
 #               heal, and rejoin events -- and re-run it, so same seed
-#               must give the same hash).  Each seed also drives the
-#               multi-rack batch: SeededFleetChurnBitExact draws a
+#               must give the same hash), or a liveness violation (the
+#               seeded churn and crash-restart runs of
+#               test_parallel_determinism check after every epoch that
+#               no group member is dead per the fault model and, once
+#               no board is cut, that every live SoC is a member).
+#               Each seed also drives the multi-rack batch:
+#               SeededFleetChurnBitExact draws a
 #               seeded fault plan with a rack cut, a crash, and a
 #               rejoin on a 4-rack fleet and replays it at 1/2/5/8
 #               threads, and test_fleet_topology replays a rack-cut ->

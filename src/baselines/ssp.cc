@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "membership/membership.hh"
 #include "sim/energy.hh"
 #include "util/logging.hh"
 
@@ -57,12 +58,10 @@ SspTrainer::runEpoch()
                 workers[s.soc].sincePull = bound + 1;
         }
         const bool serverDown =
-            !faults->socAlive(kServerSoc) ||
-            !faults->boardReachable(cluster.board(kServerSoc));
+            !membership::usable(faults, cluster, kServerSoc);
         for (std::size_t i = 0; i < workers.size(); ++i) {
             const auto soc = static_cast<sim::SocId>(i);
-            if (faults->socAlive(soc) &&
-                faults->boardReachable(cluster.board(soc))) {
+            if (membership::usable(faults, cluster, soc)) {
                 activeIdx.push_back(i);
                 minComputeFactor = std::min(
                     minComputeFactor, faults->computeFactor(soc));

@@ -1,7 +1,6 @@
 #include "core/socflow_trainer.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "core/socflow_metrics.hh"
 #include "obs/flight_recorder.hh"
@@ -15,7 +14,6 @@ namespace core {
 std::size_t
 SoCFlowTrainer::markCrashed(sim::SocId soc, std::string_view instant)
 {
-    deadSocs.insert(soc);
     isolatedSinceS[soc] = simClockS;
     detector.forget(soc);
 
@@ -42,21 +40,20 @@ SoCFlowTrainer::chargeRecovery(double seconds, std::string_view span,
     simClockS += seconds;
 }
 
-double
-SoCFlowTrainer::injectCrash(sim::SocId soc)
+void
+SoCFlowTrainer::handleCrash(sim::SocId soc)
 {
     const std::size_t gi = markCrashed(soc, "soc crash");
     if (gi == groups.size())
-        return 0.0;
+        return;
 
     // The in-flight sync: each attempt stalls for the timeout and
     // backs off exponentially, then the ring degrades to the group's
-    // survivors (collectives::SyncPolicy envelope).
-    const std::vector<sim::SocId> deadList(deadSocs.begin(),
-                                           deadSocs.end());
+    // survivors (collectives::SyncPolicy envelope; the engine reads
+    // the dead members from the same fault model).
     const collectives::SyncOutcome sync =
         engine.ringAllReduceResilient(groups[gi]->socs,
-                                      profile.paramBytes(), &deadList);
+                                      profile.paramBytes());
     const double recoveryS = sync.stats.seconds;
 
     // Consensus weights survive on the other groups' leaders; the
@@ -104,7 +101,6 @@ SoCFlowTrainer::injectCrash(sim::SocId soc)
                     {"retries", static_cast<double>(sync.retries)}});
     inform("SoC ", soc, " crashed; recovered onto ", live.size(),
            " survivors in ", groups.size(), " groups");
-    return recoveryS;
 }
 
 void
@@ -124,23 +120,21 @@ SoCFlowTrainer::dispatchFired(
                         spec.soc);
         switch (spec.kind) {
         case fault::FaultKind::SocCrash:
-            injectCrash(spec.soc);
-            break;
         case fault::FaultKind::PsServerCrash:
-            // Group-wise training has no parameter-server tier; the
-            // shard host is just another member dying, but it must
-            // run the same recovery path (not fall through to the
-            // rate-window default) so PS/group-wise head-to-heads see
-            // identical seeded fault mixes.
-            injectCrash(spec.soc);
+            // Group-wise training has no parameter-server tier; a shard
+            // host is just another member dying, but it must run the
+            // same recovery path (not fall through to the rate-window
+            // default) so PS/group-wise head-to-heads see identical
+            // seeded fault mixes.
+            handleCrash(spec.soc);
             break;
         case fault::FaultKind::SocCrashMidWave:
-            injectMidWaveCrash(
+            handleMidWaveCrash(
                 spec.soc, spec.progress, step,
                 spec.phase == fault::FaultPhase::Wave2 ? 1 : 0);
             break;
         case fault::FaultKind::LeaderCrash:
-            injectLeaderCrash(spec.soc);
+            handleLeaderCrash(spec.soc);
             break;
         case fault::FaultKind::GradCorrupt:
             // Wave-phase corruption hits an intra-group ring now;
@@ -224,13 +218,13 @@ SoCFlowTrainer::chargeCorruptedWave(const fault::FaultSpec &spec,
     }
 }
 
-double
-SoCFlowTrainer::injectMidWaveCrash(sim::SocId soc, double progress,
+void
+SoCFlowTrainer::handleMidWaveCrash(sim::SocId soc, double progress,
                                    std::size_t step, std::size_t wave)
 {
     const std::size_t gi = markCrashed(soc, "soc crash mid-wave");
     if (gi == groups.size())
-        return 0.0;
+        return;
 
     // The acked share of the in-flight AllReduce survives (its chunk
     // CRC tags verified on arrival), so only the tail rounds re-run
@@ -241,10 +235,8 @@ SoCFlowTrainer::injectMidWaveCrash(sim::SocId soc, double progress,
     progress = std::clamp(progress, 0.0, 1.0);
     const std::size_t acked = static_cast<std::size_t>(
         progress * static_cast<double>(totalRounds));
-    const std::vector<sim::SocId> deadList(deadSocs.begin(),
-                                           deadSocs.end());
-    const collectives::SyncOutcome sync = engine.resumeFromChunk(
-        ring, profile.paramBytes(), acked, &deadList);
+    const collectives::SyncOutcome sync =
+        engine.resumeFromChunk(ring, profile.paramBytes(), acked);
     const double recoveryS = sync.stats.seconds;
 
     // Unlike a full crash, the group replica -- weights AND momentum
@@ -267,15 +259,14 @@ SoCFlowTrainer::injectMidWaveCrash(sim::SocId soc, double progress,
     inform("SoC ", soc, " crashed mid-wave (", acked, "/", totalRounds,
            " rounds acked); resumed on the survivor ring, group state "
            "preserved");
-    return recoveryS;
 }
 
-double
-SoCFlowTrainer::injectLeaderCrash(sim::SocId soc)
+void
+SoCFlowTrainer::handleLeaderCrash(sim::SocId soc)
 {
     const std::size_t gi = markCrashed(soc, "leader crash");
     if (gi == groups.size())
-        return 0.0;
+        return;
 
     // Detecting the dead leader costs one timeout + one backoff;
     // re-forming the leader ring re-runs the delayed aggregation over
@@ -317,7 +308,6 @@ SoCFlowTrainer::injectLeaderCrash(sim::SocId soc)
         inform("SoC ", soc, " crashed in the leader ring; ",
                groups.size(), " groups remain");
     }
-    return recoveryS;
 }
 
 bool
@@ -387,10 +377,7 @@ void
 SoCFlowTrainer::remapLiveMembership()
 {
     std::vector<sim::SocId> live;
-    for (const auto &g : groups)
-        for (sim::SocId s : g->socs)
-            if (!deadSocs.count(s) && (!faults || faults->socAlive(s)))
-                live.push_back(s);
+    forEachLiveMember([&live](sim::SocId s) { live.push_back(s); });
     std::sort(live.begin(), live.end());
     live.erase(std::unique(live.begin(), live.end()), live.end());
     SOCFLOW_ASSERT(!live.empty(), "no live SoC to re-map");
@@ -418,8 +405,7 @@ SoCFlowTrainer::assertMembershipInvariants() const
         for (sim::SocId s : g->socs) {
             SOCFLOW_ASSERT(seen.insert(s).second,
                            "SoC mapped into two groups");
-            SOCFLOW_ASSERT(!deadSocs.count(s),
-                           "dead SoC still mapped");
+            SOCFLOW_ASSERT(alive(s), "dead SoC still mapped");
         }
     }
     // Theorems 1/2 must survive re-mapping over the live membership:
@@ -463,13 +449,11 @@ SoCFlowTrainer::handlePartition(const fault::FaultSpec &spec)
         return;
 
     // Split the live membership by board reachability.
-    std::vector<sim::SocId> reachable, cut;
-    sim::SocId lowest = std::numeric_limits<sim::SocId>::max();
-    forEachLiveMember([&](sim::SocId s) {
-        (faults->boardReachable(cluster.board(s)) ? reachable : cut)
-            .push_back(s);
-        lowest = std::min(lowest, s);
-    });
+    std::vector<sim::SocId> members;
+    forEachLiveMember([&members](sim::SocId s) { members.push_back(s); });
+    const membership::QuorumSplit split =
+        membership::splitByReachability(faults, cluster, members);
+    const std::vector<sim::SocId> &cut = split.cut;
     ++tally.partitions;
     timeline.mixAll(0x50, spec.board, cut.size()); // 'P': partition
     obs::tracer().recordInstant(fault::faultKindName(spec.kind), "fault",
@@ -485,9 +469,9 @@ SoCFlowTrainer::handlePartition(const fault::FaultSpec &spec)
         detectS = std::max(detectS, detector.detectionLatencyS(s) +
                                         engine.syncPolicy().timeoutS);
 
-    const std::size_t totalLive = reachable.size() + cut.size();
+    const std::size_t totalLive = split.reachable.size() + cut.size();
 
-    if (!membership::hasQuorum(reachable, totalLive, lowest)) {
+    if (!split.quorum) {
         // The reachable side is the minority: nobody may train.
         // Groups stay exactly as they are -- state preserved -- and
         // every epoch pauses until the cut heals.
@@ -508,8 +492,7 @@ SoCFlowTrainer::handlePartition(const fault::FaultSpec &spec)
     // stale generation is what fences its traffic at heal time.
     const std::uint64_t staleGen = gate.current();
     const auto liveReachable = [this](sim::SocId s) {
-        return !deadSocs.count(s) &&
-               faults->boardReachable(cluster.board(s));
+        return membership::usable(faults, cluster, s);
     };
     std::size_t parked = 0, stripped = 0;
     for (std::size_t i = groups.size(); i-- > 0;) {
@@ -525,7 +508,7 @@ SoCFlowTrainer::handlePartition(const fault::FaultSpec &spec)
             ++parked;
         } else {
             for (auto it = g.socs.begin(); it != g.socs.end();) {
-                if (!deadSocs.count(*it) &&
+                if (alive(*it) &&
                     !faults->boardReachable(cluster.board(*it))) {
                     isolatedSocs.insert(*it);
                     isolatedSinceS.emplace(*it, simClockS);
@@ -545,7 +528,7 @@ SoCFlowTrainer::handlePartition(const fault::FaultSpec &spec)
                     {"parked_groups", static_cast<double>(parked)},
                     {"generation", static_cast<double>(gate.current())}});
     inform(fault::faultKindName(spec.kind), " cut ", cut.size(),
-           " SoCs; majority of ", reachable.size(),
+           " SoCs; majority of ", split.reachable.size(),
            " trains on under generation ", gate.current(), " (",
            parked, " groups parked, ", stripped, " members isolated)");
 }
@@ -612,13 +595,9 @@ SoCFlowTrainer::healMemberships()
     for (std::size_t i = pausedGroups.size(); i-- > 0;) {
         PausedGroup &pg = pausedGroups[i];
         auto &socs = pg.state->socs;
-        // Members that died while parked never come back.
-        socs.erase(std::remove_if(socs.begin(), socs.end(),
-                                  [this](sim::SocId s) {
-                                      return deadSocs.count(s) != 0 ||
-                                             !faults->socAlive(s);
-                                  }),
-                   socs.end());
+        // Members dead at the heal leave the group (a later SocRejoin
+        // brings them back).
+        std::erase_if(socs, [this](sim::SocId s) { return !alive(s); });
         if (socs.empty()) {
             pausedGroups.erase(pausedGroups.begin() +
                                static_cast<std::ptrdiff_t>(i));
@@ -663,7 +642,7 @@ SoCFlowTrainer::healMemberships()
     // Fold members stripped from mixed groups back in.
     for (auto it = isolatedSocs.begin(); it != isolatedSocs.end();) {
         const sim::SocId s = *it;
-        if (deadSocs.count(s) || !faults->socAlive(s)) {
+        if (!alive(s)) {
             it = isolatedSocs.erase(it); // died while isolated
             continue;
         }
@@ -716,7 +695,6 @@ SoCFlowTrainer::rejoinSoc(sim::SocId soc)
         return;
     }
     TrainerMetrics &m = trainerMetrics();
-    deadSocs.erase(soc);
     isolatedSocs.erase(soc);
 
     // Catch-up protocol: fetch the current group weights and the

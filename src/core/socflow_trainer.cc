@@ -96,16 +96,22 @@ SoCFlowTrainer::bootGroups(const std::vector<float> *initial)
     const nn::Model proto = buildInitialModel(cfg.modelFamily, bundle.spec,
                                               cfg.seed, initial);
 
-    mapping = fullMapping;
-    plan = planCommGroups(
-        conflictGraph(mapping, cluster.config().socsPerBoard));
+    mapping.members.clear();
     groups.clear();
-    groups.reserve(mapping.numGroups());
-    for (std::size_t g = 0; g < mapping.numGroups(); ++g) {
+    for (std::size_t g = 0; g < fullMapping.numGroups(); ++g) {
+        std::vector<sim::SocId> socs = fullMapping.members[g];
+        std::erase_if(socs, [this](sim::SocId s) { return !alive(s); });
+        if (socs.empty())
+            continue;
+        mapping.members.push_back(socs);
         groups.push_back(std::make_unique<GroupState>(
-            mapping.members[g], proto, cfg.sgd, cfg.quant,
+            std::move(socs), proto, cfg.sgd, cfg.quant,
             cfg.seed + 101 * (g + 1)));
     }
+    if (groups.empty())
+        fatal("no live SoC to boot a group on");
+    plan = planCommGroups(
+        conflictGraph(mapping, cluster.config().socsPerBoard));
 
     groupDigests.clear();
     pricer.invalidate();
@@ -236,7 +242,7 @@ SoCFlowTrainer::setActiveGroups(std::size_t n)
                      groups.end());
     } else {
         // Re-admit groups seeded from the consensus checkpoint.
-        // Crashed SoCs never come back, and SoCs a crash-recovery
+        // Crashed SoCs stay out, and SoCs a crash-recovery
         // remap moved into another active group must not be claimed
         // twice, so candidate member lists are filtered first.
         const std::vector<float> w = globalWeights();
@@ -249,11 +255,8 @@ SoCFlowTrainer::setActiveGroups(std::size_t n)
             const std::size_t g = groups.size();
             std::vector<sim::SocId> members;
             for (sim::SocId s : fullMapping.members[g]) {
-                if (deadSocs.count(s) || inUse.count(s))
-                    continue;
-                if (faults && !faults->socAlive(s))
-                    continue;
-                members.push_back(s);
+                if (alive(s) && !inUse.count(s))
+                    members.push_back(s);
             }
             if (members.empty()) {
                 warn("cannot re-admit logical group ", g,
@@ -423,23 +426,6 @@ SoCFlowTrainer::loadCheckpoint(const std::vector<std::uint8_t> &bytes)
     trainerMetrics().checkpointLoads.add(1.0);
 }
 
-void
-SoCFlowTrainer::rebuildAllGroups()
-{
-    // Boot state of a power-cycled fleet: every volatile structure
-    // (group replicas, momentum, dead sets, pauses, isolation, the
-    // failure detector's arrival windows) is reconstructed exactly as
-    // the constructor built it. The data RNG is deliberately NOT
-    // rewound -- the restarted fleet draws fresh shards, like any
-    // real restart would.
-    deadSocs.clear();
-    isolatedSocs.clear();
-    isolatedSinceS.clear();
-    pausedGroups.clear();
-    quorumLost = false;
-    bootGroups(nullptr);
-}
-
 std::size_t
 SoCFlowTrainer::restoreAfterPowerLoss(
     const std::vector<std::uint8_t> &bytes)
@@ -447,7 +433,18 @@ SoCFlowTrainer::restoreAfterPowerLoss(
     obs::ScopedSpan span(obs::tracer(), "restoreAfterPowerLoss",
                          "checkpoint");
     const std::size_t epochsBefore = epochCounter;
-    rebuildAllGroups();
+    // Boot state of a power-cycled fleet: every volatile structure
+    // (group replicas, momentum, pauses, isolation, the failure
+    // detector's arrival windows) is reconstructed exactly as the
+    // constructor built it, over the SoCs the fault model reports
+    // alive (a power cycle reboots machines, it does not revive
+    // crashed ones). The data RNG is deliberately NOT rewound -- the
+    // restarted fleet draws fresh shards, like any real restart would.
+    isolatedSocs.clear();
+    isolatedSinceS.clear();
+    pausedGroups.clear();
+    quorumLost = false;
+    bootGroups(nullptr);
     // loadCheckpoint validates everything before mutating weights; a
     // corrupt blob throws here and the fleet STAYS down (groups are
     // rebooted but fleetDown holds until a valid restore), so the

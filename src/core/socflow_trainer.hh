@@ -12,10 +12,11 @@
  *    SoC, alpha/beta-controlled batch split, Eq. 5 weight merge);
  *  - underclocking-aware workload rebalancing;
  *  - checkpointing with group-granular preemption;
- *  - fault and membership recovery (the inject*() and handler docs
- *    below; DESIGN.md "Failure model"): crash, mid-wave and leader
- *    crash recovery on the {epoch, step, phase} fault clock, CRC-
- *    checked gradient chunks, phi-accrual failure detection, the
+ *  - fault and membership recovery (DESIGN.md "Failure model"):
+ *    faults arrive only through the attached injector, which is also
+ *    the one record of which SoCs are dead. Crash, mid-wave and
+ *    leader crash recovery on the {epoch, step, phase} fault clock,
+ *    CRC-checked gradient chunks, phi-accrual failure detection, the
  *    partition quorum rule with generation fencing, and rejoin; every
  *    fired fault and recovery folds into a deterministic timeline
  *    hash (same seed => same hash).
@@ -156,55 +157,14 @@ class SoCFlowTrainer : public DistTrainer
     void setActiveGroups(std::size_t n);
 
     /**
-     * Attach a fault injector (not owned; nullptr detaches). Each
-     * runEpoch() then advances the injector to the current epoch and
-     * reacts: crashes trigger injectCrash(), straggler windows slow
-     * the affected SoCs' compute, and degraded NICs inflate sync
-     * costs via the collective engine.
+     * Attach a fault injector (not owned; nullptr detaches). It is the
+     * only source of faults and the only record of which SoCs are
+     * dead: each runEpoch() advances it along the fault clock and
+     * dispatches what fired to the private recovery handlers below;
+     * straggler windows slow the affected SoCs' compute, and degraded
+     * NICs inflate sync costs via the collective engine.
      */
     void attachFaultInjector(fault::FaultInjector *injector);
-
-    /**
-     * Abrupt loss of one SoC (no checkpoint, mid-AllReduce). The
-     * in-flight sync burns the engine's timeout/retry envelope and
-     * degrades to the survivor ring; the dead SoC's group is rebuilt
-     * from the leaders' consensus weights (momentum is NOT
-     * preserved); surviving groups keep their full state; the
-     * survivor set is re-mapped integrity-greedily and CG planning
-     * re-runs. Groups that can no longer be populated are dropped.
-     * Crashing the last live SoC is fatal.
-     * @return simulated seconds the recovery cost (timeouts +
-     *         backoff + degraded re-sync).
-     */
-    double injectCrash(sim::SocId soc);
-
-    /**
-     * Abrupt loss of one SoC *mid-wave*: `progress` of the in-flight
-     * AllReduce's 2(N-1) rounds had already been acked (chunks CRC-
-     * verified on arrival), so only the remaining rounds re-run on
-     * the survivor ring (collectives::resumeFromChunk). Unlike
-     * injectCrash, the group's replica state -- weights AND momentum
-     * -- survives as long as one member remains; the dead SoC is
-     * simply dropped from the member list and CG planning re-runs.
-     * @return simulated seconds of the recovery (detection timeout +
-     *         one backoff + the resumed tail rounds).
-     */
-    double injectMidWaveCrash(sim::SocId soc, double progress = 0.5,
-                              std::size_t step = 0,
-                              std::size_t wave = 0);
-
-    /**
-     * Abrupt loss of a SoC during the cross-group leader ring. When
-     * the victim led its group, a new leader is elected
-     * deterministically (highest surviving SoC id in the group) and
-     * the leader ring re-forms mid-epoch; group replica state
-     * survives with any surviving member. Only when the whole group
-     * dies with its leader does the trainer fall back to the last
-     * consensus weights: the group is dropped and its in-flight
-     * delayed-aggregation contribution is lost.
-     * @return simulated seconds of the recovery.
-     */
-    double injectLeaderCrash(sim::SocId soc);
 
     /** Leader (first member) of active group `g`. */
     sim::SocId groupLeader(std::size_t g) const;
@@ -255,12 +215,6 @@ class SoCFlowTrainer : public DistTrainer
      */
     std::uint64_t timelineHash() const { return timeline.value(); }
 
-    /** SoCs lost to crashes so far (injector- or caller-driven). */
-    const std::set<sim::SocId> &crashedSocs() const
-    {
-        return deadSocs;
-    }
-
     /** Serialize weights + training state to a byte buffer. */
     std::vector<std::uint8_t> saveCheckpoint() const;
 
@@ -281,10 +235,11 @@ class SoCFlowTrainer : public DistTrainer
     bool powerLost() const { return fleetDown; }
 
     /**
-     * Whole-fleet crash-restart: rebuild every group from scratch
-     * (power-cycled machines boot with empty volatile state -- dead
-     * sets, pauses, isolation, and momentum are all gone), then
-     * restore weights/epoch/alpha from a durable checkpoint via
+     * Whole-fleet crash-restart: rebuild every group from scratch over
+     * the SoCs the fault model reports alive (power-cycled machines
+     * boot with empty volatile state -- pauses, isolation, and
+     * momentum are all gone; crashed SoCs stay out until a SocRejoin),
+     * then restore weights/epoch/alpha from a durable checkpoint via
      * loadCheckpoint() and bump the membership generation so any
      * stale pre-outage traffic is fenced. Returns the epochs of lost
      * work (epochs trained after the checkpoint was taken -- the
@@ -382,8 +337,10 @@ class SoCFlowTrainer : public DistTrainer
     /** Mirror the groups into mapping, re-plan, drop the sync memo. */
     void rebuildTopology();
 
-    /** Boot state shared by the constructor and rebuildAllGroups:
-     *  detector, mapping, plan and groups from the seeded prototype. */
+    /** Boot state shared by the constructor and restoreAfterPowerLoss:
+     *  detector, mapping, plan and groups from the seeded prototype,
+     *  over the configured members that alive() admits (a group with
+     *  none left is not booted). */
     void bootGroups(const std::vector<float> *initial);
 
     /** Bump the generation and stamp every active group current. */
@@ -397,6 +354,28 @@ class SoCFlowTrainer : public DistTrainer
         std::uint64_t staleGeneration = 0;
     };
 
+    // Recovery handlers (socflow_recovery.cc): dispatchFired calls
+    // them for crashes the attached injector fired, which it already
+    // records as dead. DESIGN.md "Failure model" has the costs.
+
+    /** SocCrash / PsServerCrash: burn the sync envelope, degrade to the
+     *  survivor ring, rebuild the dead SoC's group from consensus
+     *  (momentum lost) and re-map the survivors; fatal on the last
+     *  live SoC. */
+    void handleCrash(sim::SocId soc);
+
+    /** SocCrashMidWave: re-run only the un-acked tail of the in-flight
+     *  AllReduce (`progress` of its rounds were acked) on the survivor
+     *  ring; the group keeps weights and momentum while a member is
+     *  left. */
+    void handleMidWaveCrash(sim::SocId soc, double progress,
+                            std::size_t step, std::size_t wave);
+
+    /** LeaderCrash: elect the group's highest surviving id and re-form
+     *  the leader ring; a group that dies with its leader is dropped
+     *  with its in-flight aggregate. */
+    void handleLeaderCrash(sim::SocId soc);
+
     /** React to a BoardPartition/SwitchPartition spec: split the live
      *  membership by board reachability, apply the quorum rule, park
      *  minority groups, and re-map + re-plan the majority. */
@@ -406,11 +385,6 @@ class SoCFlowTrainer : public DistTrainer
      *  state is gone), mix the outage into the timeline, and dump a
      *  post-mortem. The epoch in flight aborts without closing. */
     void handleRackPowerLoss(const fault::FaultSpec &spec);
-
-    /** Rebuild every group from the constructor-deterministic seeds
-     *  (the state a power-cycled fleet boots with) and clear all
-     *  volatile membership state. Used by restoreAfterPowerLoss. */
-    void rebuildAllGroups();
 
     /** Epoch-open heal sweep: resume paused groups whose boards are
      *  reachable again, fold isolated/rejoining SoCs back in, fence
@@ -445,9 +419,10 @@ class SoCFlowTrainer : public DistTrainer
     void dispatchFired(const std::vector<fault::FaultSpec> &fired,
                        std::size_t step);
 
-    /** Crash preamble shared by the three crash handlers: mark `soc`
-     *  dead, stop watching it, and -- when it belonged to an active
-     *  group -- count the crash and mark `instant` on the timeline.
+    /** Crash preamble shared by the three crash handlers: stop
+     *  watching `soc`, start its downtime clock, and -- when it
+     *  belonged to an active group -- count the crash and mark
+     *  `instant` on the timeline.
      *  @return the owning group, or groups.size() for an idle SoC. */
     std::size_t markCrashed(sim::SocId soc, std::string_view instant);
 
@@ -470,14 +445,21 @@ class SoCFlowTrainer : public DistTrainer
     // Membership edits shared by the recovery handlers
     // (socflow_recovery.cc).
 
-    /** Call fn(soc) for every member of an active group that has not
-     *  crashed, in group order. */
+    /** The one liveness check: false once the attached fault model
+     *  records `soc` as crashed (until its SocRejoin fires). */
+    bool alive(sim::SocId soc) const
+    {
+        return !faults || faults->socAlive(soc);
+    }
+
+    /** Call fn(soc) for every alive() member of an active group, in
+     *  group order. */
     template <class Fn>
     void forEachLiveMember(Fn &&fn) const
     {
         for (const auto &g : groups)
             for (sim::SocId s : g->socs)
-                if (!deadSocs.count(s))
+                if (alive(s))
                     fn(s);
     }
 
@@ -529,10 +511,9 @@ class SoCFlowTrainer : public DistTrainer
     Rng rng;
     std::size_t epochCounter = 0;
 
-    /** Optional fault source (not owned). */
+    /** Optional fault source and the record of dead SoCs (not
+     *  owned). */
     fault::FaultInjector *faults = nullptr;
-    /** SoCs lost to crashes; re-admitted only via a SocRejoin. */
-    std::set<sim::SocId> deadSocs;
     /** Phi-accrual failure detector on the simulated clock. */
     membership::PhiAccrualDetector detector;
     /** Group generation + stale-message fencing. */

@@ -346,8 +346,7 @@ FaultInjector::advanceTo(const FaultPoint &now)
           case FaultKind::SocCrashMidWave:
           case FaultKind::LeaderCrash:
           case FaultKind::PsServerCrash:
-            if (dead.insert(s.soc).second)
-                crashed.push_back(s.soc);
+            dead.insert(s.soc);
             break;
           case FaultKind::LinkDegrade:
             degraded.emplace(
@@ -382,10 +381,7 @@ FaultInjector::advanceTo(const FaultPoint &now)
             // The SoC is back on the network; the membership layer
             // runs the actual rejoin protocol (weight catch-up,
             // generation bump, live re-mapping).
-            if (dead.erase(s.soc) != 0)
-                crashed.erase(std::remove(crashed.begin(),
-                                          crashed.end(), s.soc),
-                              crashed.end());
+            dead.erase(s.soc);
             break;
           case FaultKind::RackPowerLoss:
             // Event-only: a power cycle reboots the machines rather

@@ -251,7 +251,8 @@ class FaultModel
   public:
     virtual ~FaultModel() = default;
 
-    /** False once the SoC has crashed. */
+    /** False once the SoC has crashed, until its SocRejoin fires;
+     *  the trainers' only record of dead SoCs. */
     virtual bool socAlive(sim::SocId soc) const = 0;
 
     /** Compute-rate multiplier in (0, 1]; 1 = healthy. */
@@ -345,15 +346,6 @@ class FaultInjector : public FaultModel
         return replicaLossBudget;
     }
 
-    /**
-     * SoCs currently down (all crash kinds), in firing order; a
-     * SocRejoin removes its target from this list.
-     */
-    const std::vector<sim::SocId> &crashedSocs() const
-    {
-        return crashed;
-    }
-
     /** Specs fired so far. */
     std::size_t firedCount() const { return nextSpec; }
 
@@ -373,8 +365,9 @@ class FaultInjector : public FaultModel
     FaultPlan schedule;
     std::size_t nextSpec = 0;
     FaultPoint clock;
+    /** The one record of crashed SoCs (all crash kinds); a SocRejoin
+     *  removes its target. */
     std::set<sim::SocId> dead;
-    std::vector<sim::SocId> crashed;
     std::multimap<sim::SocId, Window> slow;
     std::multimap<sim::BoardId, Window> degraded;
     std::multimap<sim::BoardId, Window> partitioned;

@@ -31,7 +31,9 @@
  *    majority of the live SoCs trains on; the minority pauses and
  *    preserves its state for rejoin. An exact tie is won by the side
  *    containing the lowest live SoC id (a deterministic tiebreaker
- *    that needs no extra coordination).
+ *    that needs no extra coordination). splitByReachability builds
+ *    that side from the fault model, the one record of which SoCs
+ *    are alive.
  *
  * DESIGN.md "Failure model" documents the partition/fencing/rejoin
  * state machine built on these pieces.
@@ -45,6 +47,7 @@
 #include <map>
 #include <vector>
 
+#include "fault/fault.hh"
 #include "sim/cluster.hh"
 
 namespace socflow {
@@ -164,6 +167,25 @@ class GenerationGate
  */
 bool hasQuorum(const std::vector<sim::SocId> &side,
                std::size_t total_live, sim::SocId lowest_live);
+
+/** True when `faults` reports `soc` alive and its board reachable
+ *  (always, without a fault model). */
+bool usable(const fault::FaultModel *faults, const sim::Cluster &cluster,
+            sim::SocId soc);
+
+/** The live SoCs of a candidate set, split by board reachability. */
+struct QuorumSplit {
+    std::vector<sim::SocId> reachable, cut;
+    /** hasQuorum for the reachable side; false with no live SoC. */
+    bool quorum = false;
+};
+
+/** Split the `candidates` that `faults` reports alive by board
+ *  reachability (candidate order kept) and apply the quorum rule to
+ *  the reachable side, with the lowest live id as tiebreaker. */
+QuorumSplit splitByReachability(const fault::FaultModel *faults,
+                                const sim::Cluster &cluster,
+                                const std::vector<sim::SocId> &candidates);
 
 } // namespace membership
 } // namespace socflow

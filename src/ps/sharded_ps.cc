@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "data/dataset.hh"
 #include "obs/metrics.hh"
@@ -98,41 +99,16 @@ ShardedPsTrainer::bytesPerParam()
 }
 
 bool
-ShardedPsTrainer::usable(sim::SocId soc) const
-{
-    if (!faults)
-        return true;
-    return faults->socAlive(soc) &&
-           faults->boardReachable(cluster.board(soc));
-}
-
-bool
 ShardedPsTrainer::refreshMembership()
 {
     active.clear();
-    std::vector<sim::SocId> side;
-    std::size_t totalLive = 0;
-    sim::SocId lowestLive = 0;
-    bool haveLowest = false;
-    for (std::size_t soc = 0; soc < cfg.numSocs; ++soc) {
-        const auto id = static_cast<sim::SocId>(soc);
-        if (faults && !faults->socAlive(id))
-            continue;
-        ++totalLive;
-        if (!haveLowest) {
-            lowestLive = id;
-            haveLowest = true;
-        }
-        if (!faults || faults->boardReachable(cluster.board(id)))
-            side.push_back(id);
-    }
     for (std::size_t i = 0; i < workers.size(); ++i)
-        if (usable(workers[i].soc))
+        if (membership::usable(faults, cluster, workers[i].soc))
             active.push_back(i);
-
-    if (totalLive == 0 || active.empty())
-        return false;
-    return membership::hasQuorum(side, totalLive, lowestLive);
+    std::vector<sim::SocId> socs(cfg.numSocs);
+    std::iota(socs.begin(), socs.end(), sim::SocId{0});
+    return !active.empty() &&
+           membership::splitByReachability(faults, cluster, socs).quorum;
 }
 
 void
@@ -156,7 +132,9 @@ void
 ShardedPsTrainer::runFailover(core::EpochRecord &rec)
 {
     const auto moves =
-        map.failover([this](sim::SocId s) { return usable(s); });
+        map.failover([this](sim::SocId s) {
+            return membership::usable(faults, cluster, s);
+        });
     if (moves.empty())
         return;
     const double nicRate = cluster.config().boardNicBps / 8.0;
@@ -273,7 +251,8 @@ ShardedPsTrainer::maybeRebalance(const collectives::PsExchange &ex)
     double targetDrain = 0.0;
     bool haveTarget = false;
     for (const auto &ep : ex.endpoints) {
-        if (ep.server == donor || !usable(ep.server))
+        if (ep.server == donor ||
+            !membership::usable(faults, cluster, ep.server))
             continue;
         if (!haveTarget || ep.pushSeconds < targetDrain ||
             (ep.pushSeconds == targetDrain && ep.server < target)) {

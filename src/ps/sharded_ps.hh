@@ -140,8 +140,6 @@ class ShardedPsTrainer : public core::DistTrainer
         std::uint64_t gen = 0;
     };
 
-    /** True when `soc` is alive and its board reachable. */
-    bool usable(sim::SocId soc) const;
     /** Rebuild the active-worker rotation; true when quorum holds. */
     bool refreshMembership();
     /** Note fired faults: counters + timeline. */

@@ -307,26 +307,40 @@ TEST(MidWaveCrash, GroupSurvivesDownToOneMember)
 {
     data::DataBundle bundle = tinyBundle();
     core::SoCFlowTrainer trainer(tinyConfig(), bundle);
+    const std::vector<SocId> members = trainer.groupMembers(0);
+    ASSERT_EQ(members.size(), 4u);
+
+    // Epoch 1 kills 3 of the group's 4 members mid-wave, its leader
+    // at each of steps 0-2: the group keeps training on the shrinking
+    // survivor ring with its replica state intact. Epoch 2 kills the
+    // last one.
+    FaultPlan plan;
+    for (std::size_t k = 0; k < members.size(); ++k) {
+        FaultSpec s;
+        s.kind = FaultKind::SocCrashMidWave;
+        s.epoch = k < 3 ? 1 : 2;
+        s.step = k < 3 ? k : 0;
+        s.phase = FaultPhase::Wave1;
+        s.soc = members[k];
+        s.progress = 0.5;
+        plan.add(s);
+    }
+    FaultInjector inj(plan);
+    trainer.attachFaultInjector(&inj);
     trainer.runEpoch();
 
-    // Kill 3 of the group's 4 members mid-wave, one by one: the
-    // group keeps training on the shrinking survivor ring with its
-    // replica state intact.
-    for (int k = 0; k < 3; ++k) {
-        const SocId victim = trainer.groupLeader(0);
-        EXPECT_GT(trainer.injectMidWaveCrash(victim, 0.5), 0.0);
-        EXPECT_EQ(trainer.activeGroups(), 2u);
-    }
-    EXPECT_GT(trainer.groupMomentumNorm(0), 0.0);
     const core::EpochRecord rec = trainer.runEpoch();
     EXPECT_EQ(rec.waveResumes, 3u);
+    EXPECT_GT(rec.recoverySeconds, 0.0);
     EXPECT_GT(rec.simSeconds, 0.0);
+    EXPECT_EQ(trainer.activeGroups(), 2u);
+    EXPECT_EQ(trainer.groupMembers(0), std::vector<SocId>{members[3]});
+    EXPECT_GT(trainer.groupMomentumNorm(0), 0.0);
 
     // The last member dying empties the group: it is dropped and
     // training continues on the remaining group.
-    trainer.injectMidWaveCrash(trainer.groupLeader(0), 0.5);
-    EXPECT_EQ(trainer.activeGroups(), 1u);
     EXPECT_GT(trainer.runEpoch().simSeconds, 0.0);
+    EXPECT_EQ(trainer.activeGroups(), 1u);
     EXPECT_GT(trainer.testAccuracy(), 0.2);
 }
 
@@ -336,21 +350,31 @@ TEST(LeaderCrash, DeterministicReElection)
 {
     data::DataBundle bundle = tinyBundle();
     core::SoCFlowTrainer trainer(tinyConfig(), bundle);
-    trainer.runEpoch();
 
-    // Every leader crashes in the same epoch; each group elects its
-    // highest surviving SoC id and the leader ring re-forms.
+    // Every leader crashes in epoch 1's leader ring; each group elects
+    // its highest surviving SoC id and the leader ring re-forms.
     const SocId l0 = trainer.groupLeader(0);
     const SocId l1 = trainer.groupLeader(1);
-    EXPECT_GT(trainer.injectLeaderCrash(l0), 0.0);
-    EXPECT_GT(trainer.injectLeaderCrash(l1), 0.0);
+    FaultPlan plan;
+    for (SocId leader : {l0, l1}) {
+        FaultSpec s;
+        s.kind = FaultKind::LeaderCrash;
+        s.epoch = 1;
+        s.step = 1000;
+        s.phase = FaultPhase::LeaderRing;
+        s.soc = leader;
+        plan.add(s);
+    }
+    FaultInjector inj(plan);
+    trainer.attachFaultInjector(&inj);
+    trainer.runEpoch();
+
+    const core::EpochRecord rec = trainer.runEpoch();
     EXPECT_EQ(trainer.activeGroups(), 2u);
     EXPECT_NE(trainer.groupLeader(0), l0);
     EXPECT_NE(trainer.groupLeader(1), l1);
-    EXPECT_EQ(trainer.crashedSocs().count(trainer.groupLeader(0)), 0u);
-    EXPECT_EQ(trainer.crashedSocs().count(trainer.groupLeader(1)), 0u);
-
-    const core::EpochRecord rec = trainer.runEpoch();
+    EXPECT_TRUE(inj.socAlive(trainer.groupLeader(0)));
+    EXPECT_TRUE(inj.socAlive(trainer.groupLeader(1)));
     EXPECT_EQ(rec.leaderElections, 2u);
     EXPECT_EQ(rec.crashes, 2u);
     EXPECT_GT(rec.recoverySeconds, 0.0);

@@ -202,8 +202,11 @@ TEST(MembershipTrainer, StragglerIsNeverFalselyKilled)
     EXPECT_LT(trainer.peakSuspicion(), trainer.failureDetector()
                                            .config()
                                            .threshold);
-    EXPECT_EQ(trainer.crashedSocs().size(), 0u);
     EXPECT_EQ(trainer.activeGroups(), 2u);
+    std::size_t members = 0;
+    for (std::size_t g = 0; g < trainer.activeGroups(); ++g)
+        members += trainer.groupMembers(g).size();
+    EXPECT_EQ(members, 8u);
 }
 
 // --------------------------- partition: minority parks, fence holds
@@ -494,6 +497,85 @@ TEST(MembershipTrainer, RejoinQueuedWhileParkedIsCaughtUpOnce)
         << "SoC 7 caught up twice";
 }
 
+TEST(MembershipTrainer, RejoinBehindCutOfCrashedSocIsHealedIn)
+{
+    // SoC 6 (board 1) crashes at epoch 1; board 1 is cut at epoch 2
+    // for two epochs, parking group 1; SoC 6's SocRejoin lands at
+    // epoch 3, behind the cut, so it queues for the heal. At the heal
+    // (epoch 4) the parked group's four SoCs and SoC 6 rejoin.
+    data::DataBundle bundle = tinyBundle();
+    core::SoCFlowTrainer trainer(tinyConfig(10, 2), bundle);
+    FaultPlan plan;
+    FaultSpec crash;
+    crash.kind = FaultKind::SocCrash;
+    crash.epoch = 1;
+    crash.soc = 6;
+    plan.add(crash);
+    FaultSpec cut;
+    cut.kind = FaultKind::BoardPartition;
+    cut.epoch = 2;
+    cut.board = 1;
+    cut.durationEpochs = 2;
+    plan.add(cut);
+    FaultSpec rejoin;
+    rejoin.kind = FaultKind::SocRejoin;
+    rejoin.epoch = 3;
+    rejoin.soc = 6;
+    plan.add(rejoin);
+    FaultInjector inj(plan);
+    trainer.attachFaultInjector(&inj);
+    for (int e = 0; e < 4; ++e)
+        trainer.runEpoch();
+    ASSERT_TRUE(inj.socAlive(6));
+
+    const core::EpochRecord heal = trainer.runEpoch();
+    std::set<SocId> live;
+    for (std::size_t g = 0; g < trainer.activeGroups(); ++g)
+        for (SocId s : trainer.groupMembers(g))
+            live.insert(s);
+    EXPECT_EQ(live.size(), 10u);
+    EXPECT_EQ(live.count(6), 1u) << "SoC 6's rejoin was lost";
+    EXPECT_EQ(heal.rejoins, 5u);
+}
+
+TEST(MembershipTrainer, PowerLossRestoreKeepsCrashedSocOut)
+{
+    // SoC 6 crashes at epoch 1 and the fleet loses power at epoch 2.
+    // The power cycle reboots machines, it does not revive SoC 6: the
+    // restored groups leave it out until a SocRejoin.
+    data::DataBundle bundle = tinyBundle();
+    core::SoCFlowTrainer trainer(tinyConfig(10, 2), bundle);
+    FaultPlan plan;
+    FaultSpec crash;
+    crash.kind = FaultKind::SocCrash;
+    crash.epoch = 1;
+    crash.soc = 6;
+    plan.add(crash);
+    FaultSpec power;
+    power.kind = FaultKind::RackPowerLoss;
+    power.epoch = 2;
+    power.board = 0;
+    power.count = 1;
+    plan.add(power);
+    FaultInjector inj(plan);
+    trainer.attachFaultInjector(&inj);
+    trainer.runEpoch();
+    trainer.runEpoch();
+    const std::vector<std::uint8_t> blob = trainer.saveCheckpoint();
+    ASSERT_TRUE(trainer.runEpoch().powerLost);
+
+    trainer.restoreAfterPowerLoss(blob);
+    ASSERT_FALSE(trainer.powerLost());
+    for (std::size_t g = 0; g < trainer.activeGroups(); ++g)
+        for (SocId s : trainer.groupMembers(g))
+            EXPECT_TRUE(inj.socAlive(s)) << "dead SoC " << s
+                                         << " rebooted into group " << g;
+    const core::EpochRecord next = trainer.runEpoch();
+    EXPECT_FALSE(next.powerLost);
+    EXPECT_GT(next.simSeconds, 0.0);
+    EXPECT_EQ(trainer.epochsDone(), 3u);
+}
+
 TEST(MembershipTrainer, RejoinRemapPreservesTheorems)
 {
     data::DataBundle bundle = tinyBundle();
@@ -520,7 +602,6 @@ TEST(MembershipTrainer, RejoinRemapPreservesTheorems)
     trainer.runEpoch();
     const core::EpochRecord rec = trainer.runEpoch();
     EXPECT_EQ(rec.rejoins, 1u);
-    EXPECT_EQ(trainer.crashedSocs().size(), 0u);
 
     // The full membership is back and the re-run mapping + CG plan
     // still satisfy both theorems on the live set.
@@ -583,9 +664,24 @@ TEST(MembershipTrainer, SyncPriceMemoFollowsEveryMembershipChange)
     cut.board = 1;
     cut.durationEpochs = 1;
     plan.add(cut);
+    // SoC 3 crashes as epoch 3 closes, SoC 8 mid-wave as epoch 4
+    // closes (after the last sync price of each epoch is memoized),
+    // and SoC 3 rejoins at epoch 5.
+    FaultSpec crash;
+    crash.kind = FaultKind::SocCrash;
+    crash.epoch = 3;
+    crash.step = 1000;
+    crash.phase = FaultPhase::Checkpoint;
+    crash.soc = 3;
+    plan.add(crash);
+    FaultSpec midWave = crash;
+    midWave.kind = FaultKind::SocCrashMidWave;
+    midWave.epoch = 4;
+    midWave.soc = 8;
+    plan.add(midWave);
     FaultSpec rejoin;
     rejoin.kind = FaultKind::SocRejoin;
-    rejoin.epoch = 3;
+    rejoin.epoch = 5;
     rejoin.soc = 3;
     plan.add(rejoin);
     FaultInjector inj(plan);
@@ -601,13 +697,16 @@ TEST(MembershipTrainer, SyncPriceMemoFollowsEveryMembershipChange)
                       "shrink");
     expectMemoFollows(trainer, [&] { trainer.setActiveGroups(2); },
                       "grow");
-    expectMemoFollows(trainer, [&] { trainer.injectCrash(3); }, "crash");
-    expectMemoFollows(
-        trainer,
-        [&] { trainer.injectMidWaveCrash(trainer.groupLeader(1), 0.5); },
-        "mid-wave crash");
-    expectMemoFollows(trainer, [&] { trainer.runEpoch(); }, "rejoin");
-    ASSERT_EQ(trainer.crashedSocs().count(3), 0u);
+    core::EpochRecord rec;
+    expectMemoFollows(trainer, [&] { rec = trainer.runEpoch(); },
+                      "crash");
+    ASSERT_EQ(rec.crashes, 1u);
+    expectMemoFollows(trainer, [&] { rec = trainer.runEpoch(); },
+                      "mid-wave crash");
+    ASSERT_EQ(rec.waveResumes, 1u);
+    expectMemoFollows(trainer, [&] { rec = trainer.runEpoch(); },
+                      "rejoin");
+    ASSERT_EQ(rec.rejoins, 1u);
     expectMemoFollows(trainer,
                       [&] { trainer.restoreAfterPowerLoss(blob); },
                       "power-loss restore");

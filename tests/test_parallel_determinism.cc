@@ -17,7 +17,9 @@
  *    checkpoint failure, mid-wave crash, grad corruption, leader
  *    crash, board partition, switch partition, rejoin);
  *  - seeded partition/heal/rejoin churn (FaultPlan::random with the
- *    chaos seed, so run_all.sh --chaos varies it);
+ *    chaos seed, so run_all.sh --chaos varies it); this run and the
+ *    seeded crash-restart run also check liveness after every epoch
+ *    (expectLiveMembership);
  *  - a faulted harvest day, comparing every HarvestReport counter.
  *
  * The chaos harness (run_all.sh --chaos) re-runs this binary with
@@ -37,6 +39,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -130,13 +134,53 @@ struct RunResult {
     std::size_t epochsDone = 0;
 };
 
+/** Called after every epoch of a run (after any power-loss restore). */
+using EpochHook = std::function<void(const core::SoCFlowTrainer &,
+                                     const FaultInjector &)>;
+
+/**
+ * Liveness oracle for the seeded churn runs: no active-group member
+ * is dead per the injector; and once no SoC's board is cut (so the
+ * epoch that just ran opened with a heal sweep over the whole fleet),
+ * every SoC the injector reports alive is an active member. Skipped
+ * while the fleet is dark.
+ */
+void
+expectLiveMembership(const core::SoCFlowTrainer &trainer,
+                     const FaultInjector &inj)
+{
+    if (trainer.powerLost())
+        return;
+    const std::size_t epoch = trainer.epochsDone();
+    std::set<sim::SocId> members;
+    for (std::size_t g = 0; g < trainer.activeGroups(); ++g) {
+        for (sim::SocId s : trainer.groupMembers(g)) {
+            EXPECT_TRUE(inj.socAlive(s)) << "dead SoC " << s << " in group "
+                                         << g << " after epoch " << epoch;
+            members.insert(s);
+        }
+    }
+    const sim::Cluster &cluster = trainer.clusterModel();
+    const std::size_t socs = cluster.config().numSocs;
+    for (sim::SocId s = 0; s < socs; ++s)
+        if (!inj.boardReachable(cluster.board(s)))
+            return;
+    for (sim::SocId s = 0; s < socs; ++s) {
+        if (inj.socAlive(s))
+            EXPECT_EQ(members.count(s), 1u)
+                << "live SoC " << s << " is in no group after epoch "
+                << epoch;
+    }
+}
+
 /**
  * Train `epochs` epochs with an optional attached fault plan. The
  * conv families run on 12x12 inputs, so LeNet-5 convolves 12x12 and
  * 6x6 maps and VGG-11 reaches its 3x3 and 1x1 tails.
  */
 RunResult
-runTrainer(const FaultPlan *plan, int epochs, const char *family = "mlp")
+runTrainer(const FaultPlan *plan, int epochs, const char *family = "mlp",
+           const EpochHook &on_epoch = {})
 {
     const bool conv = std::string(family) != "mlp";
     data::DataBundle bundle = tinyBundle(77, conv ? 12 : 8);
@@ -146,8 +190,11 @@ runTrainer(const FaultPlan *plan, int epochs, const char *family = "mlp")
     FaultInjector inj(plan ? *plan : FaultPlan{});
     if (plan)
         trainer.attachFaultInjector(&inj);
-    for (int e = 0; e < epochs; ++e)
+    for (int e = 0; e < epochs; ++e) {
         trainer.runEpoch();
+        if (on_epoch)
+            on_epoch(trainer, inj);
+    }
     RunResult r;
     r.timelineHash = trainer.timelineHash();
     r.weights = trainer.globalWeights();
@@ -422,7 +469,10 @@ TEST(ParallelDeterminism, SeededChurnBitExact)
     fcfg.seed = chaosSeed();
     const FaultPlan plan = FaultPlan::random(fcfg);
     expectBitExactAcrossThreads(
-        [&plan] { return runTrainer(&plan, 6); }, "seeded-churn");
+        [&plan] {
+            return runTrainer(&plan, 6, "mlp", expectLiveMembership);
+        },
+        "seeded-churn");
 }
 
 // ------------------------- whole-fleet crash-restart (DESIGN ch.13)
@@ -453,7 +503,8 @@ powerLossSpec(std::size_t epoch, std::size_t rack, std::size_t count)
  */
 RunResult
 runCrashRestart(const FaultPlan &plan, int epochs, std::size_t replicas,
-                const sim::ClusterConfig *fleet = nullptr)
+                const sim::ClusterConfig *fleet = nullptr,
+                const EpochHook &on_epoch = {})
 {
     data::DataBundle bundle = tinyBundle();
     core::SoCFlowConfig cfg =
@@ -479,9 +530,11 @@ runCrashRestart(const FaultPlan &plan, int epochs, std::size_t replicas,
                 // the fleet stays dark. Still a deterministic outcome
                 // the thread sweep must reproduce.
             }
-            continue;
+        } else {
+            store.write(trainer.epochsDone(), trainer.saveCheckpoint());
         }
-        store.write(trainer.epochsDone(), trainer.saveCheckpoint());
+        if (on_epoch)
+            on_epoch(trainer, inj);
     }
     RunResult r;
     r.timelineHash = trainer.timelineHash();
@@ -530,7 +583,10 @@ TEST(ParallelDeterminism, SeededCrashRestartChurnBitExact)
     fcfg.seed = chaosSeed();
     const FaultPlan plan = FaultPlan::random(fcfg);
     expectBitExactAcrossThreads(
-        [&plan] { return runCrashRestart(plan, 6, 3); },
+        [&plan] {
+            return runCrashRestart(plan, 6, 3, nullptr,
+                                   expectLiveMembership);
+        },
         "seeded-crash-restart");
 }
 
