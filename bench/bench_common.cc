@@ -178,16 +178,16 @@ const Flag kFlags[] = {
     {"--ckpt-backoff", "<s>", "2.0",
      "first checkpoint rewrite backoff (doubles per retry)",
      [](O &o, const V &v) { o.checkpointBackoffS = v.number<double>(); }},
-    {"--ckpt-replicas", "<k>", "0",
-     "replicated checkpoint store: copies spread across failure "
-     "domains (rack first, then board); `k >= 2` makes an acked "
-     "checkpoint survive the loss of any single rack, enabling "
-     "whole-fleet crash-restart after a `RackPowerLoss` (DESIGN.md "
-     "ch. 13); 0 = legacy single-copy path",
-     [](O &o, const V &v) { o.ckptReplicas = v.number(); }},
+    {"--ckpt-replicas", "<k>", "1",
+     "copies per checkpoint in the replicated store every harvest day "
+     "writes through, spread across failure domains (rack first, then "
+     "board); the store enables whole-fleet crash-restart after a "
+     "`RackPowerLoss`, and `k >= 2` makes an acked checkpoint survive "
+     "the loss of any single rack (DESIGN.md ch. 13)",
+     [](O &o, const V &v) { o.ckptReplicas = v.number(1); }},
     {"--ckpt-interval", "<epochs>", "0",
      "epochs between durable replicated writes — the RPO bound on lost "
-     "work after a fleet restart; ignored while `--ckpt-replicas` is 0",
+     "work after a fleet restart",
      [](O &o, const V &v) { o.ckptIntervalEpochs = v.number(); }},
     {"--phi-threshold", "<p>", "8.0",
      "phi-accrual suspicion level that confirms a failure (8 ⇒ ~10⁻⁸ "

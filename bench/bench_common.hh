@@ -75,7 +75,7 @@ struct BenchOptions {
     collectives::SyncPolicy sync;
     std::size_t checkpointMaxRetries = 3;
     double checkpointBackoffS = 2.0;
-    std::size_t ckptReplicas = 0;       //!< 0 = no replicated store
+    std::size_t ckptReplicas = 1;       //!< store copies, >= 1
     std::size_t ckptIntervalEpochs = 0; //!< 0 = on preempt/suspend only
     double phiThreshold = 8.0;
     std::size_t phiWindow = 32;

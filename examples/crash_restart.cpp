@@ -22,11 +22,13 @@
  *   cmake -B build -G Ninja && cmake --build build
  *   ./build/examples/crash_restart
  *
- * --ckpt-replicas=<k> sets the replication factor (default 2: the
- * copies span both racks, so an acked checkpoint survives either),
- * --ckpt-interval=<epochs> the durable-write cadence (the RPO bound).
+ * The store keeps k = max(2, --ckpt-replicas) copies: the day
+ * destroys one rack's storage, and two copies span both racks, so an
+ * acked checkpoint survives either. --ckpt-interval=<epochs> sets the
+ * durable-write cadence (the RPO bound, default 2).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdint>
 #include <vector>
@@ -100,7 +102,7 @@ main(int argc, char **argv)
     bench::initBenchObservability(argc, argv);
     const bench::BenchOptions &policy = bench::options();
     const std::size_t replicas =
-        policy.ckptReplicas > 0 ? policy.ckptReplicas : 2;
+        std::max<std::size_t>(2, policy.ckptReplicas);
     const std::size_t interval =
         policy.ckptIntervalEpochs > 0 ? policy.ckptIntervalEpochs : 2;
 

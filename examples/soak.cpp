@@ -41,12 +41,13 @@
  * epochs, the fleet-scale partition analogue (DESIGN.md ch. 10) --
  * exercising quorum, parking, and heal at rack granularity.
  *
- * A third leg replays the same day with a whole-rack power loss
- * mid-epoch against the replicated checkpoint store (--ckpt-replicas
- * copies spread across failure domains, --ckpt-interval epochs
- * between durable writes): the fleet restarts from the nearest
- * surviving replica and the table reports the lost-work epochs (RPO)
- * and the priced restore latency (DESIGN.md ch. 13).
+ * Every day checkpoints through the replicated checkpoint store,
+ * with k = --ckpt-replicas (default 1) copies spread across failure
+ * domains. A third leg replays the same day with a whole-rack power
+ * loss mid-epoch and --ckpt-interval epochs (default 2) between
+ * durable writes: the fleet restarts from the nearest surviving
+ * replica and the table reports the lost-work epochs (RPO) and the
+ * priced restore latency (DESIGN.md ch. 13).
  *
  * The day ends with a sharded parameter-server soak (--ps-shards /
  * --staleness shape it): the same cluster runs ShardedPsTrainer clean
@@ -74,13 +75,12 @@ using namespace socflow;
 
 namespace {
 
-/** One harvested day; `faults` == nullptr runs fault-free.
- *  ckpt_replicas > 0 arms the replicated durable checkpoint store
- *  (failure-domain spread + interval checkpoints), enabling
- *  whole-fleet restart after a RackPowerLoss. */
+/** One harvested day; `faults` == nullptr runs fault-free. Every
+ *  day checkpoints through a store of --ckpt-replicas copies;
+ *  ckpt_interval > 0 adds interval checkpoints (the RPO bound). */
 trace::HarvestReport
 runDay(const trace::TidalTrace &tidal, fault::FaultInjector *faults,
-       std::size_t ckpt_replicas = 0, std::size_t ckpt_interval = 0)
+       std::size_t ckpt_interval = 0)
 {
     const bench::BenchOptions &policy = bench::options();
     data::DataBundle bundle = data::makeDatasetByName("emnist");
@@ -104,7 +104,7 @@ runDay(const trace::TidalTrace &tidal, fault::FaultInjector *faults,
     hcfg.checkpointBackoffS = policy.checkpointBackoffS;
     hcfg.metricsSnapshotEvery = policy.metricsInterval;
     hcfg.metricSeries = policy.metricSeries;
-    hcfg.ckptReplicas = ckpt_replicas;
+    hcfg.ckptReplicas = policy.ckptReplicas;
     hcfg.ckptIntervalEpochs = ckpt_interval;
     return trace::runHarvestDay(trainer, cfg, tidal, hcfg);
 }
@@ -355,19 +355,18 @@ main(int argc, char **argv)
 
     // ---- rack power loss + durable restore day (DESIGN.md ch. 13) --
     // Same day, same background faults, plus a whole-rack power loss
-    // mid-epoch. With the replicated checkpoint store armed
-    // (--ckpt-replicas, default 2 here; --ckpt-interval bounds the
-    // RPO) the scheduler restarts the fleet from the nearest
-    // surviving replica in the same slot: lost work stays within the
-    // checkpoint interval, and the quorum-read manifest picks the
-    // last *acked* generation even when the newest write was torn.
-    const std::size_t soakReplicas =
-        policy.ckptReplicas > 0 ? policy.ckptReplicas : 2;
+    // mid-epoch. The scheduler restarts the fleet from the nearest
+    // surviving replica of its store in the same slot: k is
+    // --ckpt-replicas (default 1; a power cycle spares data at rest,
+    // so one copy restores), and --ckpt-interval (default 2 here)
+    // bounds the RPO. Lost work stays within the checkpoint interval,
+    // and the quorum-read manifest picks the last *acked* generation
+    // even when the newest write was torn.
     const std::size_t soakInterval =
         policy.ckptIntervalEpochs > 0 ? policy.ckptIntervalEpochs : 2;
     std::printf("\n== rack power loss + restore day (k=%zu, "
                 "interval %zu epochs) ==\n",
-                soakReplicas, soakInterval);
+                policy.ckptReplicas, soakInterval);
     fault::FaultPlan powerPlan = plan;
     fault::FaultSpec outage;
     outage.kind = fault::FaultKind::RackPowerLoss;
@@ -378,8 +377,8 @@ main(int argc, char **argv)
     outage.count = 1;
     powerPlan.add(outage);
     fault::FaultInjector powerInjector(powerPlan);
-    const trace::HarvestReport powerDay = runDay(
-        tidal, &powerInjector, soakReplicas, soakInterval);
+    const trace::HarvestReport powerDay =
+        runDay(tidal, &powerInjector, soakInterval);
 
     Table rt("Rack power loss day (replicated checkpoints)");
     rt.setHeader({"", "value"});

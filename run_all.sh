@@ -60,7 +60,8 @@
 #               zero-perturbation guarantee checked end to end
 #   --crash-restart
 #               run the replicated-checkpoint suites (test_ckpt,
-#               test_checkpoint, the crash-restart determinism
+#               test_checkpoint, the harvest driver's test_trace and
+#               test_fault, the crash-restart determinism
 #               scenarios) plus the crash_restart example: a 2-rack
 #               fleet loses power mid-epoch AND the primary replica's
 #               rack loses durable storage; the run must restore from
@@ -211,11 +212,14 @@ fi
 if [ "$1" = "--crash-restart" ]; then
     cmake -B build -S . || exit 1
     cmake --build build -j $jobs --target test_ckpt test_checkpoint \
-        test_parallel_determinism crash_restart || exit 1
+        test_trace test_fault test_parallel_determinism crash_restart ||
+        exit 1
     # Unit layer: placement, envelope/manifest fuzz, quorum restore,
-    # rack-survival of acked writes.
+    # rack-survival of acked writes; and the harvest driver, whose
+    # every checkpoint goes through the store (retries, lost writes,
+    # a default day's power-loss restore).
     ctest --test-dir build --output-on-failure \
-        -R 'test_(ckpt|checkpoint)$' || exit 1
+        -R 'test_(ckpt|checkpoint|trace|fault)$' || exit 1
     # Determinism layer: crash + restore replays bit-exactly at
     # 1/2/5/8 threads, and a resumed run matches an uninterrupted
     # one from the same checkpoint.

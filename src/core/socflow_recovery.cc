@@ -163,6 +163,11 @@ SoCFlowTrainer::dispatchFired(
             break; // rate windows are state, not events
         }
     }
+    // Checked once the batch is dispatched: specs that fire together
+    // open their cut windows together, so a handler ahead of the
+    // partition's own sees members the cut has not fenced yet.
+    if (!fired.empty())
+        assertMembershipInvariants();
 }
 
 void
@@ -392,13 +397,16 @@ SoCFlowTrainer::remapLiveMembership()
         groups[g]->socs = remap.members[g];
     rebuildTopology();
     bumpGeneration();
-    assertMembershipInvariants();
 }
 
 void
 SoCFlowTrainer::assertMembershipInvariants() const
 {
-    // Every live member belongs to exactly one group.
+    SOCFLOW_ASSERT(groups.size() <= fullMapping.numGroups(),
+                   "more active groups than configured");
+    // Every live member belongs to exactly one group, and an active
+    // one only on a reachable board (a paused cluster keeps its cut
+    // members in place).
     std::set<sim::SocId> seen;
     for (const auto &g : groups) {
         SOCFLOW_ASSERT(!g->socs.empty(), "empty active group");
@@ -406,8 +414,15 @@ SoCFlowTrainer::assertMembershipInvariants() const
             SOCFLOW_ASSERT(seen.insert(s).second,
                            "SoC mapped into two groups");
             SOCFLOW_ASSERT(alive(s), "dead SoC still mapped");
+            SOCFLOW_ASSERT(quorumLost ||
+                               membership::usable(faults, cluster, s),
+                           "active member behind an open cut");
         }
     }
+    for (const PausedGroup &pg : pausedGroups)
+        for (sim::SocId s : pg.state->socs)
+            SOCFLOW_ASSERT(!seen.count(s),
+                           "SoC in an active and a parked group");
     // Theorems 1/2 must survive re-mapping over the live membership:
     // under the integrity-greedy mapping the conflict graph stays a
     // union of chains (every split group conflicts with at most two
@@ -442,17 +457,21 @@ SoCFlowTrainer::assertMembershipInvariants() const
     }
 }
 
+membership::QuorumSplit
+SoCFlowTrainer::splitLiveMembers() const
+{
+    std::vector<sim::SocId> members;
+    forEachLiveMember([&members](sim::SocId s) { members.push_back(s); });
+    return membership::splitByReachability(faults, cluster, members);
+}
+
 void
 SoCFlowTrainer::handlePartition(const fault::FaultSpec &spec)
 {
     if (!faults)
         return;
 
-    // Split the live membership by board reachability.
-    std::vector<sim::SocId> members;
-    forEachLiveMember([&members](sim::SocId s) { members.push_back(s); });
-    const membership::QuorumSplit split =
-        membership::splitByReachability(faults, cluster, members);
+    const membership::QuorumSplit split = splitLiveMembers();
     const std::vector<sim::SocId> &cut = split.cut;
     ++tally.partitions;
     timeline.mixAll(0x50, spec.board, cut.size()); // 'P': partition
@@ -471,20 +490,38 @@ SoCFlowTrainer::handlePartition(const fault::FaultSpec &spec)
 
     const std::size_t totalLive = split.reachable.size() + cut.size();
 
+    timeline.mix(std::uint64_t{split.quorum});
+    const auto [parked, stripped] = applyCut(split);
     if (!split.quorum) {
-        // The reachable side is the minority: nobody may train.
-        // Groups stay exactly as they are -- state preserved -- and
-        // every epoch pauses until the cut heals.
-        quorumLost = true;
         tally.recoverySeconds += detectS;
-        timeline.mix(std::uint64_t{0});
         simClockS += detectS;
         warn(fault::faultKindName(spec.kind), " cut ", cut.size(),
              " of ", totalLive, " live SoCs and no side holds "
              "quorum; training paused, state preserved");
         return;
     }
-    timeline.mix(std::uint64_t{1});
+    chargeRecovery(detectS, "partition fence",
+                   {{"cut_socs", static_cast<double>(cut.size())},
+                    {"parked_groups", static_cast<double>(parked)},
+                    {"generation", static_cast<double>(gate.current())}});
+    inform(fault::faultKindName(spec.kind), " cut ", cut.size(),
+           " SoCs; majority of ", split.reachable.size(),
+           " trains on under generation ", gate.current(), " (",
+           parked, " groups parked, ", stripped, " members isolated)");
+}
+
+std::pair<std::size_t, std::size_t>
+SoCFlowTrainer::applyCut(const membership::QuorumSplit &split)
+{
+    if (split.cut.empty())
+        return {0, 0};
+    if (!split.quorum) {
+        // The reachable side is the minority: nobody may train.
+        // Groups stay exactly as they are -- state preserved -- and
+        // every epoch pauses until the cut heals.
+        quorumLost = true;
+        return {0, 0};
+    }
 
     // Majority side trains on: park fully-cut groups with their state
     // intact, strip cut members out of mixed groups, then re-map and
@@ -522,15 +559,7 @@ SoCFlowTrainer::handlePartition(const fault::FaultSpec &spec)
         }
     }
     remapLiveMembership();
-
-    chargeRecovery(detectS, "partition fence",
-                   {{"cut_socs", static_cast<double>(cut.size())},
-                    {"parked_groups", static_cast<double>(parked)},
-                    {"generation", static_cast<double>(gate.current())}});
-    inform(fault::faultKindName(spec.kind), " cut ", cut.size(),
-           " SoCs; majority of ", split.reachable.size(),
-           " trains on under generation ", gate.current(), " (",
-           parked, " groups parked, ", stripped, " members isolated)");
+    return {parked, stripped};
 }
 
 void
@@ -667,6 +696,7 @@ SoCFlowTrainer::healMemberships()
 
     if (changed) {
         remapLiveMembership();
+        assertMembershipInvariants();
         tally.rejoins += rejoined;
         m.rejoins.add(static_cast<double>(rejoined));
         timeline.mixAll(0x52, rejoined, gate.current()); // 'R': rejoin wave

@@ -242,20 +242,24 @@ SoCFlowTrainer::setActiveGroups(std::size_t n)
                      groups.end());
     } else {
         // Re-admit groups seeded from the consensus checkpoint.
-        // Crashed SoCs stay out, and SoCs a crash-recovery
-        // remap moved into another active group must not be claimed
-        // twice, so candidate member lists are filtered first.
+        // Crashed SoCs and SoCs behind an open cut stay out, and a
+        // SoC that an active group (after a crash-recovery remap), a
+        // parked group or the isolation queue already holds must not
+        // be claimed twice, so candidate member lists are filtered.
         const std::vector<float> w = globalWeights();
         nn::Model proto = groups.front()->fp32;
         proto.setFlatParams(w);
-        std::set<sim::SocId> inUse;
+        std::set<sim::SocId> held = isolatedSocs;
         for (const auto &g : groups)
-            inUse.insert(g->socs.begin(), g->socs.end());
+            held.insert(g->socs.begin(), g->socs.end());
+        for (const PausedGroup &pg : pausedGroups)
+            held.insert(pg.state->socs.begin(), pg.state->socs.end());
         while (groups.size() < n) {
             const std::size_t g = groups.size();
             std::vector<sim::SocId> members;
             for (sim::SocId s : fullMapping.members[g]) {
-                if (alive(s) && !inUse.count(s))
+                if (membership::usable(faults, cluster, s) &&
+                    held.insert(s).second)
                     members.push_back(s);
             }
             if (members.empty()) {
@@ -263,7 +267,6 @@ SoCFlowTrainer::setActiveGroups(std::size_t n)
                      ": no usable SoC left");
                 break;
             }
-            inUse.insert(members.begin(), members.end());
             groups.push_back(std::make_unique<GroupState>(
                 std::move(members), proto, cfg.sgd, cfg.quant,
                 cfg.seed + 997 * (g + 1) + epochCounter));
@@ -274,6 +277,7 @@ SoCFlowTrainer::setActiveGroups(std::size_t n)
     // generation so anything a preempted group left in flight is
     // fenced, never folded into a later aggregate.
     bumpGeneration();
+    assertMembershipInvariants();
     obs::tracer().recordInstant("resize active groups", "control",
                                 obs::kTrackControl, simClockS);
 }
@@ -450,6 +454,11 @@ SoCFlowTrainer::restoreAfterPowerLoss(
     // rebooted but fleetDown holds until a valid restore), so the
     // caller can try the next surviving replica.
     loadCheckpoint(bytes);
+    // A cut still open at reboot fences the rebooted groups exactly
+    // as its partition fenced the old ones: pause without quorum,
+    // otherwise isolate cut members and park fully cut groups. With
+    // no live SoC behind a cut this changes nothing.
+    applyCut(splitLiveMembers());
     fleetDown = false;
     // Everything that survived did so through durable storage; any
     // pre-outage in-flight traffic that somehow resurfaces must be
@@ -469,6 +478,7 @@ SoCFlowTrainer::restoreAfterPowerLoss(
 
     // 'V': power-loss restore
     timeline.mixAll(0x56, epochCounter, lost, gate.current());
+    assertMembershipInvariants();
     obs::tracer().recordInstant("fleet restored from checkpoint",
                                 "checkpoint", obs::kTrackControl,
                                 simClockS);

@@ -45,6 +45,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "collectives/engine.hh"
@@ -149,10 +150,11 @@ class SoCFlowTrainer : public DistTrainer
      * group count). Shrinking preempts trailing groups; growing
      * re-admits groups seeded from the current consensus weights
      * (the checkpoint/resume path of the harvesting scheduler).
-     * Optimizer momentum is reset for re-admitted groups. Crashed
-     * SoCs and SoCs already hosting an active group are filtered
-     * from re-admitted member lists; growth stops early when a
-     * candidate group has no usable SoC left.
+     * Optimizer momentum is reset for re-admitted groups. A
+     * re-admitted group takes only membership::usable SoCs (alive,
+     * board reachable) that no active group, parked group or
+     * isolation queue holds; growth stops early when a candidate
+     * group has no such SoC left.
      */
     void setActiveGroups(std::size_t n);
 
@@ -240,10 +242,11 @@ class SoCFlowTrainer : public DistTrainer
      * boot with empty volatile state -- pauses, isolation, and
      * momentum are all gone; crashed SoCs stay out until a SocRejoin),
      * then restore weights/epoch/alpha from a durable checkpoint via
-     * loadCheckpoint() and bump the membership generation so any
-     * stale pre-outage traffic is fenced. Returns the epochs of lost
-     * work (epochs trained after the checkpoint was taken -- the
-     * caller's RPO accounting). Throws CheckpointError -- with the
+     * loadCheckpoint(), apply a cut still open at reboot as its
+     * partition did (applyCut), and bump the membership generation
+     * so any stale pre-outage traffic is fenced. Returns the epochs
+     * of lost work (epochs trained after the checkpoint was taken --
+     * the caller's RPO accounting). Throws CheckpointError -- with the
      * fleet still down -- when the bytes fail validation.
      */
     std::size_t restoreAfterPowerLoss(
@@ -376,10 +379,22 @@ class SoCFlowTrainer : public DistTrainer
      *  with its in-flight aggregate. */
     void handleLeaderCrash(sim::SocId soc);
 
-    /** React to a BoardPartition/SwitchPartition spec: split the live
-     *  membership by board reachability, apply the quorum rule, park
-     *  minority groups, and re-map + re-plan the majority. */
+    /** React to a BoardPartition/SwitchPartition spec: charge the
+     *  cut's detection and applyCut() the live membership's split. */
     void handlePartition(const fault::FaultSpec &spec);
+
+    /** The live members of the active groups, split by board
+     *  reachability under the quorum rule. */
+    membership::QuorumSplit splitLiveMembers() const;
+
+    /** Membership edit of an open cut (handlePartition, and reboot
+     *  under a cut): a split with no cut member changes nothing;
+     *  without quorum every group pauses in place; otherwise fully
+     *  cut groups park, cut members of mixed groups move to
+     *  isolatedSocs, and the survivors are re-mapped.
+     *  @return {groups parked, members isolated}. */
+    std::pair<std::size_t, std::size_t>
+    applyCut(const membership::QuorumSplit &split);
 
     /** React to a RackPowerLoss spec: mark the fleet down (volatile
      *  state is gone), mix the outage into the timeline, and dump a
@@ -399,10 +414,13 @@ class SoCFlowTrainer : public DistTrainer
      *  the active groups and bump the generation. */
     void remapLiveMembership();
 
-    /** Theorem 1/2 invariants on the live mapping (panics on
-     *  violation): every live member in exactly one group; with
-     *  planning on, the conflict graph stays a union of chains
-     *  (degree <= 2) and the CG schedule needs <= 2 waves. */
+    /** Membership and Theorem 1/2 invariants (panics on violation):
+     *  every live member in exactly one active group and in no parked
+     *  one; no more active groups than configured; no active member
+     *  behind an open cut unless quorum is lost; with planning on,
+     *  the conflict graph stays a union of chains (degree <= 2) and
+     *  the CG schedule needs <= 2 waves. Checked where membership
+     *  settles: after a fired batch, a heal, a resize or a restore. */
     void assertMembershipInvariants() const;
 
     /** Per-step heartbeat sweep: each live member's arrival lands at

@@ -1,8 +1,8 @@
 #include "trace/harvest.hh"
 
 #include <algorithm>
-#include <memory>
 #include <string_view>
+#include <utility>
 
 #include "ckpt/replicated_store.hh"
 #include "core/checkpoint.hh"
@@ -59,18 +59,13 @@ class HarvestDriver
     HarvestDriver(core::SoCFlowTrainer &trainer, std::size_t max_groups,
                   const TidalTrace &trace, const HarvestConfig &cfg)
         : trainer(trainer), maxGroups(max_groups), trace(trace),
-          cfg(cfg)
+          cfg(cfg),
+          store(trainer.clusterModel(),
+                {.replicas = cfg.ckptReplicas, .source = 0,
+                 .faults = cfg.faults})
     {
         if (cfg.faults)
             trainer.attachFaultInjector(cfg.faults);
-        if (cfg.ckptReplicas > 0) {
-            ckpt::CkptStoreConfig sc;
-            sc.replicas = cfg.ckptReplicas;
-            sc.source = 0;
-            sc.faults = cfg.faults;
-            store = std::make_unique<ckpt::ReplicatedCkptStore>(
-                trainer.clusterModel(), sc);
-        }
     }
 
     /** Process one trace slot; mutates the report. */
@@ -153,7 +148,7 @@ class HarvestDriver
 
         // Interval checkpointing bounds the RPO: at most N epochs of
         // work sit between the fleet and its last durable replica.
-        if (store && cfg.ckptIntervalEpochs > 0 &&
+        if (cfg.ckptIntervalEpochs > 0 &&
             report.epochsTrained % cfg.ckptIntervalEpochs == 0)
             takeCheckpoint();
 
@@ -185,10 +180,10 @@ class HarvestDriver
     /**
      * A RackPowerLoss killed the fleet this slot (or it is still
      * dark from an earlier one): attempt a whole-fleet restart from
-     * the nearest surviving replica. Without a replicated store -- or
-     * with every replica destroyed -- the fleet stays dark and the
-     * slot is counted as downtime; the restore is retried next slot
-     * (the operator keeps trying).
+     * the nearest surviving replica. With no restorable replica --
+     * none acked yet, or every copy destroyed -- the fleet stays dark
+     * and the slot is counted as downtime; the restore is retried
+     * next slot (the operator keeps trying).
      */
     void
     handlePowerLoss(HarvestEvent ev)
@@ -200,20 +195,17 @@ class HarvestDriver
             ev.activeGroups = 0;
             pushEvent(ev);
         }
-        if (store) {
-            try {
-                ckpt::RestoreResult r = store->restore(0);
-                report.lostWorkEpochs +=
-                    trainer.restoreAfterPowerLoss(r.bytes);
-                report.restoreSeconds += r.restoreSeconds;
-                down = false;
-                ev.kind = HarvestEvent::Kind::Restore;
-                ev.activeGroups = trainer.activeGroups();
-                pushEvent(ev);
-                return;
-            } catch (const core::CheckpointError &e) {
-                warn("fleet restart blocked: ", e.what());
-            }
+        try {
+            ckpt::RestoreResult r = store.restore(0);
+            report.lostWorkEpochs += trainer.restoreAfterPowerLoss(r.bytes);
+            report.restoreSeconds += r.restoreSeconds;
+            down = false;
+            ev.kind = HarvestEvent::Kind::Restore;
+            ev.activeGroups = trainer.activeGroups();
+            pushEvent(ev);
+            return;
+        } catch (const core::CheckpointError &e) {
+            warn("fleet restart blocked: ", e.what());
         }
         ++report.downSlots;
     }
@@ -236,13 +228,15 @@ class HarvestDriver
     }
 
     /**
-     * Serialize a checkpoint, retrying failed writes with bounded
-     * exponential backoff (cfg.checkpointBackoffS doubling per
-     * attempt). The injector's checkpointWriteFails() consumes one
-     * planned failure per attempt, so a failure burst shorter than
-     * the retry budget resolves to a successful write. Exhausting
+     * Replicate a checkpoint through the store, retrying failed
+     * writes with bounded exponential backoff (cfg.checkpointBackoffS
+     * doubling per attempt). One attempt fans the sealed blob out to
+     * every planned site, and the injector's checkpointWriteFails()
+     * tears one site copy per planned failure, so a failure burst
+     * shorter than the retry budget resolves to an acked write. Only
+     * an acked (majority-durable) write counts as taken. Exhausting
      * the budget loses the checkpoint (counted, training goes on:
-     * the previous checkpoint remains the resume point).
+     * the last acked generation remains the resume point).
      */
     void
     takeCheckpoint()
@@ -265,23 +259,10 @@ class HarvestDriver
 
         double backoff = cfg.checkpointBackoffS;
         for (std::size_t attempt = 0;; ++attempt) {
-            if (store) {
-                // Replicated path: one attempt fans the sealed blob
-                // out to every planned site; injected write failures
-                // tear individual copies inside write(). Only an
-                // acked (majority-durable) write counts as taken.
-                const ckpt::WriteReceipt receipt =
-                    store->write(trainer.epochsDone(), bytes);
-                report.replicaWrites += receipt.replicasWritten;
-                if (receipt.acked) {
-                    ++report.checkpointsTaken;
-                    return;
-                }
-            } else if (!cfg.faults ||
-                       !cfg.faults->checkpointWriteFails()) {
-                // Legacy single-copy path: the bytes are discarded (a
-                // real deployment would persist them); only the
-                // injected-failure bookkeeping matters.
+            const ckpt::WriteReceipt receipt =
+                store.write(trainer.epochsDone(), bytes);
+            report.replicaWrites += receipt.replicasWritten;
+            if (receipt.acked) {
                 ++report.checkpointsTaken;
                 return;
             }
@@ -310,8 +291,8 @@ class HarvestDriver
     bool running = false;
     /** Fleet dark after a power loss, awaiting a durable restore. */
     bool down = false;
-    /** Durable replicated store (null on the legacy discard path). */
-    std::unique_ptr<ckpt::ReplicatedCkptStore> store;
+    /** Durable replicated store: the day's only checkpoint path. */
+    ckpt::ReplicatedCkptStore store;
 };
 
 } // namespace

@@ -12,14 +12,18 @@
  * The scheduler distinguishes two ways of losing capacity:
  *
  *  - *graceful preemption* (Preempt/Suspend events): demand returns,
- *    a checkpoint is written first -- with bounded-backoff retries
- *    when an injected checkpoint-write failure fires -- and the
- *    trainer keeps consensus weights and momentum;
+ *    a checkpoint is first written through the day's replicated
+ *    store (ckpt::ReplicatedCkptStore) -- with bounded-backoff
+ *    retries when an injected checkpoint-write failure tears a copy
+ *    -- and the trainer keeps consensus weights and momentum;
  *  - *crash recovery* (Crash events): a fault-injected SoC dies
  *    abruptly mid-AllReduce with no checkpoint; the trainer burns
  *    the collective timeout/retry envelope, re-maps the survivor
  *    set, and restores the lost group from the leaders' consensus
  *    weights (momentum is lost). See DESIGN.md "Failure model".
+ *
+ * A RackPowerLoss takes the whole fleet down; the scheduler restarts
+ * it from the store's quorum-read restore (DESIGN.md ch. 13).
  *
  * Faults are enabled by pointing HarvestConfig::faults at a
  * fault::FaultInjector; the scheduler attaches it to the trainer and
@@ -77,19 +81,19 @@ struct HarvestConfig {
     std::size_t metricsSnapshotEvery = 0;
 
     /**
-     * Replication factor for durable checkpoints (--ckpt-replicas).
-     * 0 keeps the legacy in-memory discard path byte-identical; >= 1
-     * builds a ckpt::ReplicatedCkptStore over the trainer's cluster,
-     * prices every replica write on the shared FlowNetwork, and makes
-     * whole-fleet crash-restart after a RackPowerLoss possible (k = 2
-     * survives the loss of any single rack).
+     * Replication factor k of the day's ckpt::ReplicatedCkptStore
+     * (--ckpt-replicas, >= 1). Every checkpoint is written through
+     * it: each replica write is priced on the shared FlowNetwork, and
+     * the store is what a whole-fleet restart after a RackPowerLoss
+     * reads back. k = 1 keeps one copy on the source SoC (a power
+     * cycle spares data at rest); k = 2 also survives the storage
+     * loss of any single rack.
      */
-    std::size_t ckptReplicas = 0;
+    std::size_t ckptReplicas = 1;
     /**
      * Take an extra durable checkpoint every N trained epochs
      * (--ckpt-interval), bounding the recovery-point objective. 0 =
-     * only event-driven checkpoints (preempt/suspend). Ignored while
-     * ckptReplicas == 0.
+     * only event-driven checkpoints (preempt/suspend).
      */
     std::size_t ckptIntervalEpochs = 0;
 };
@@ -149,7 +153,7 @@ struct HarvestReport {
      *  epochsTrained AND from a failure -- nothing was lost). */
     std::size_t pausedEpochs = 0;
 
-    // Whole-fleet power loss + durable restore (ckptReplicas > 0).
+    // Whole-fleet power loss + durable restore.
     std::size_t powerLosses = 0;    //!< rack/fleet power-loss events
     std::size_t replicaWrites = 0;  //!< durable replica copies written
     std::size_t lostWorkEpochs = 0; //!< RPO: epochs re-trained after

@@ -113,7 +113,7 @@ TEST(BenchFlags, EveryDefault)
     EXPECT_EQ(o.sync.backoffMaxS, 1.0);
     EXPECT_EQ(o.checkpointMaxRetries, 3u);
     EXPECT_EQ(o.checkpointBackoffS, 2.0);
-    EXPECT_EQ(o.ckptReplicas, 0u);
+    EXPECT_EQ(o.ckptReplicas, 1u);
     EXPECT_EQ(o.ckptIntervalEpochs, 0u);
     EXPECT_EQ(o.phiThreshold, 8.0);
     EXPECT_EQ(o.phiWindow, 32u);
@@ -164,6 +164,8 @@ TEST(BenchFlagsDeathTest, EveryBoundIsFatal)
         {"--sync-retries=1.5", "bad value for --sync-retries"},
         {"--ckpt-retries=+3", "bad value for --ckpt-retries"},
         {"--ckpt-replicas=two", "bad value for --ckpt-replicas"},
+        {"--ckpt-replicas=0",
+         "bad value for --ckpt-replicas: '0' \\(must be >= 1\\)"},
         {"--ckpt-interval=-1", "bad value for --ckpt-interval"},
         {"--phi-window=0x20", "bad value for --phi-window"},
         {"--staleness=", "bad value for --staleness: ''"},

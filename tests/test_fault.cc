@@ -535,3 +535,53 @@ TEST(HarvestFaults, ExhaustedRetryBudgetLosesCheckpoint)
     EXPECT_GT(report.epochsTrained, 2u);
     EXPECT_GT(report.finalTestAcc, 0.3);
 }
+
+TEST(HarvestFaults, PowerLossRestoresWithDefaultConfig)
+{
+    // A default HarvestConfig still checkpoints through the replicated
+    // store, so a RackPowerLoss after the day's first checkpoint is
+    // restored in its own slot instead of leaving the fleet dark. Two
+    // failed writes are absorbed by the retry envelope first.
+    data::DataBundle bundle = tinyBundle();
+    core::SoCFlowConfig cfg = tinyConfig();
+    core::SoCFlowTrainer trainer(cfg, bundle);
+
+    trace::TidalConfig tcfg;
+    tcfg.numSocs = 8;
+    tcfg.slotMinutes = 60.0;
+    tcfg.peakBusy = 1.0;
+    tcfg.troughBusy = 0.0;
+    trace::TidalTrace tidal(tcfg);
+
+    FaultPlan plan;
+    FaultSpec ckpt;
+    ckpt.kind = FaultKind::CheckpointFail;
+    ckpt.epoch = 0;
+    ckpt.count = 2;
+    plan.add(ckpt);
+    FaultSpec power;
+    power.kind = FaultKind::RackPowerLoss;
+    power.epoch = 6;
+    power.board = 0;
+    power.count = 1;
+    plan.add(power);
+    FaultInjector inj(plan);
+
+    trace::HarvestConfig hcfg;
+    hcfg.faults = &inj;
+    const trace::HarvestReport report =
+        trace::runHarvestDay(trainer, cfg, tidal, hcfg);
+
+    EXPECT_EQ(report.checkpointRetries, 2u);
+    EXPECT_GE(report.checkpointsTaken, 1u);
+    EXPECT_EQ(report.powerLosses, 1u);
+    EXPECT_EQ(report.downSlots, 0u);
+    const bool restored = std::any_of(
+        report.timeline.begin(), report.timeline.end(),
+        [](const trace::HarvestEvent &ev) {
+            return ev.kind == trace::HarvestEvent::Kind::Restore;
+        });
+    EXPECT_TRUE(restored);
+    EXPECT_GT(report.restoreSeconds, 0.0);
+    EXPECT_GT(report.epochsTrained, 6u);
+}

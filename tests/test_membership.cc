@@ -576,6 +576,155 @@ TEST(MembershipTrainer, PowerLossRestoreKeepsCrashedSocOut)
     EXPECT_EQ(trainer.epochsDone(), 3u);
 }
 
+namespace {
+
+/** Active members of `trainer` on `board` (5 SoCs per board). */
+std::size_t
+activeOnBoard(const core::SoCFlowTrainer &trainer, std::size_t board)
+{
+    std::size_t n = 0;
+    for (std::size_t g = 0; g < trainer.activeGroups(); ++g)
+        for (SocId s : trainer.groupMembers(g))
+            n += s / 5 == board;
+    return n;
+}
+
+/** Distinct active members, failing on a SoC held by two groups. */
+std::set<SocId>
+activeMembers(const core::SoCFlowTrainer &trainer)
+{
+    std::set<SocId> live;
+    for (std::size_t g = 0; g < trainer.activeGroups(); ++g)
+        for (SocId s : trainer.groupMembers(g))
+            EXPECT_TRUE(live.insert(s).second) << "SoC " << s << " twice";
+    return live;
+}
+
+} // namespace
+
+TEST(MembershipTrainer, PowerLossRestoreUnderOpenCutParksCutBoard)
+{
+    // Board 2 (SoCs 10-14, all of group 2) is cut at epoch 2 for three
+    // epochs and the fleet loses power at epoch 3. The reboot happens
+    // behind the open cut: the rebooted group 2 is parked again, not
+    // trained through the cut, and returns when the cut heals.
+    data::DataBundle bundle = tinyBundle();
+    core::SoCFlowTrainer trainer(tinyConfig(15, 3), bundle);
+    FaultPlan plan;
+    FaultSpec cut;
+    cut.kind = FaultKind::BoardPartition;
+    cut.epoch = 2;
+    cut.board = 2;
+    cut.durationEpochs = 3;
+    plan.add(cut);
+    FaultSpec power;
+    power.kind = FaultKind::RackPowerLoss;
+    power.epoch = 3;
+    power.board = 0;
+    power.count = 1;
+    plan.add(power);
+    FaultInjector inj(plan);
+    trainer.attachFaultInjector(&inj);
+    for (int e = 0; e < 3; ++e)
+        trainer.runEpoch();
+    const std::vector<std::uint8_t> blob = trainer.saveCheckpoint();
+    ASSERT_TRUE(trainer.runEpoch().powerLost);
+
+    trainer.restoreAfterPowerLoss(blob);
+    EXPECT_EQ(activeOnBoard(trainer, 2), 0u);
+    EXPECT_EQ(trainer.pausedGroupCount(), 1u);
+    // Epochs 3 and 4 train behind the cut; epoch 5 opens with the heal.
+    for (std::size_t e = 3; e < 5; ++e) {
+        EXPECT_FALSE(trainer.runEpoch().paused);
+        EXPECT_EQ(activeOnBoard(trainer, 2), 0u)
+            << "trained through the cut in epoch " << e;
+    }
+    ASSERT_FALSE(inj.boardReachable(2));
+    trainer.runEpoch();
+    EXPECT_EQ(trainer.pausedGroupCount(), 0u);
+    EXPECT_EQ(trainer.activeGroups(), 3u);
+    EXPECT_EQ(activeMembers(trainer).size(), 15u);
+}
+
+TEST(MembershipTrainer, RegrowUnderOpenCutSkipsCutBoard)
+{
+    // Board 1 (SoCs 5-9, all of group 1) is cut at epoch 1 for three
+    // epochs, parking group 1. A shrink to one group and a regrow to
+    // three while the cut is open must not re-admit the cut SoCs,
+    // which the parked group still holds, and the heal must not leave
+    // more active groups than configured.
+    data::DataBundle bundle = tinyBundle();
+    core::SoCFlowTrainer trainer(tinyConfig(15, 3), bundle);
+    FaultPlan plan;
+    FaultSpec cut;
+    cut.kind = FaultKind::BoardPartition;
+    cut.epoch = 1;
+    cut.board = 1;
+    cut.durationEpochs = 3;
+    plan.add(cut);
+    FaultInjector inj(plan);
+    trainer.attachFaultInjector(&inj);
+    trainer.runEpoch();
+    trainer.runEpoch();
+    ASSERT_EQ(trainer.pausedGroupCount(), 1u);
+
+    trainer.setActiveGroups(1);
+    trainer.setActiveGroups(3);
+    EXPECT_EQ(activeOnBoard(trainer, 1), 0u);
+    EXPECT_LE(trainer.activeGroups() + trainer.pausedGroupCount(), 3u);
+    // Epochs 2 and 3 train behind the cut; epoch 4 opens with the heal.
+    for (std::size_t e = 2; e < 4; ++e) {
+        trainer.runEpoch();
+        EXPECT_EQ(activeOnBoard(trainer, 1), 0u)
+            << "trained through the cut in epoch " << e;
+    }
+    ASSERT_FALSE(inj.boardReachable(1));
+    trainer.runEpoch();
+    EXPECT_EQ(trainer.pausedGroupCount(), 0u);
+    EXPECT_LE(trainer.activeGroups(), 3u);
+    // With the cut healed, a regrow re-admits every idle SoC.
+    trainer.setActiveGroups(3);
+    EXPECT_EQ(trainer.activeGroups(), 3u);
+    EXPECT_EQ(activeMembers(trainer).size(), 15u);
+}
+
+TEST(MembershipTrainer, RejoinAndCutFiredTogetherSettleConsistently)
+{
+    // SoC 2 crashes at epoch 1; its SocRejoin and a cut of board 2
+    // (SoCs 10-14, all of group 2) fire in the same clock advance at
+    // epoch 3. The rejoin's re-map runs before the partition handler,
+    // while board 2's members are still active: the membership must
+    // only be consistent once the whole batch is dispatched.
+    data::DataBundle bundle = tinyBundle();
+    core::SoCFlowTrainer trainer(tinyConfig(15, 3), bundle);
+    FaultPlan plan;
+    FaultSpec crash;
+    crash.kind = FaultKind::SocCrash;
+    crash.epoch = 1;
+    crash.soc = 2;
+    plan.add(crash);
+    FaultSpec rejoin;
+    rejoin.kind = FaultKind::SocRejoin;
+    rejoin.epoch = 3;
+    rejoin.soc = 2;
+    plan.add(rejoin);
+    FaultSpec cut;
+    cut.kind = FaultKind::BoardPartition;
+    cut.epoch = 3;
+    cut.board = 2;
+    cut.durationEpochs = 2;
+    plan.add(cut);
+    FaultInjector inj(plan);
+    trainer.attachFaultInjector(&inj);
+    for (int e = 0; e < 4; ++e)
+        trainer.runEpoch();
+    EXPECT_EQ(activeOnBoard(trainer, 2), 0u);
+    EXPECT_EQ(activeMembers(trainer).count(2), 1u);
+    trainer.runEpoch();
+    trainer.runEpoch(); // the heal sweep opens this epoch
+    EXPECT_EQ(activeMembers(trainer).size(), 15u);
+}
+
 TEST(MembershipTrainer, RejoinRemapPreservesTheorems)
 {
     data::DataBundle bundle = tinyBundle();
