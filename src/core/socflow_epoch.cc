@@ -94,7 +94,7 @@ SoCFlowTrainer::openEpoch(EpochRun &ep, EpochRecord &rec)
         tr.setTrackName(obs::kPidSim, obs::kTrackComm, "communication");
         tr.setTrackName(obs::kPidSim, obs::kTrackUpdate,
                         "optimizer update");
-        for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+        for (std::size_t gi = 0; gi < roster.size(); ++gi) {
             tr.setTrackName(
                 obs::kPidSim,
                 obs::kTrackGroupBase + static_cast<int>(gi),
@@ -140,8 +140,8 @@ SoCFlowTrainer::openEpoch(EpochRun &ep, EpochRecord &rec)
     // (asserted in test_parallel_determinism).
     ep.profiling = obs::profiler().enabled();
     if (ep.profiling) {
-        registerProfilerLayers(groups.front()->fp32, profLayersRegistered);
-        obs::profiler().beginEpoch(groups.size());
+        registerProfilerLayers(roster.state(0).fp32, profLayersRegistered);
+        obs::profiler().beginEpoch(roster.size());
         profEpochUse.assign(cluster.network().numResources(),
                             sim::ResourceUsage{});
     }
@@ -150,7 +150,7 @@ SoCFlowTrainer::openEpoch(EpochRun &ep, EpochRecord &rec)
     // epoch pauses in place -- every group keeps its full state
     // (weights AND momentum), nothing trains, nothing is lost, and
     // training resumes the epoch the cut heals.
-    if (quorumLost) {
+    if (roster.quorumLost()) {
         rec.paused = true;
         closeEpoch(ep, rec);
         return false;
@@ -165,8 +165,8 @@ SoCFlowTrainer::openEpoch(EpochRun &ep, EpochRecord &rec)
     ep.fCpu = cpuFraction();
 
     // Cross-group shuffle: fresh IID shards each epoch.
-    ep.shards = data::shardIid(bundle.train.size(), groups.size(), rng);
-    ep.cursor.assign(groups.size(), 0);
+    ep.shards = data::shardIid(bundle.train.size(), roster.size(), rng);
+    ep.cursor.assign(roster.size(), 0);
     for (const auto &shard : ep.shards)
         ep.steps = std::max<std::size_t>(
             ep.steps, shard.size() / cfg.groupBatch);
@@ -189,10 +189,10 @@ SoCFlowTrainer::runGroupStep(EpochRun &ep, std::size_t step)
     // A crash may have changed the group set; re-shard when it did
     // (the lost group's data redistributes over the survivors).
     const auto reshardIfChanged = [this, &ep] {
-        if (groups.size() != ep.shards.size()) {
+        if (roster.size() != ep.shards.size()) {
             ep.shards =
-                data::shardIid(bundle.train.size(), groups.size(), rng);
-            ep.cursor.assign(groups.size(), 0);
+                data::shardIid(bundle.train.size(), roster.size(), rng);
+            ep.cursor.assign(roster.size(), 0);
         }
     };
 
@@ -218,9 +218,9 @@ SoCFlowTrainer::runGroupStep(EpochRun &ep, std::size_t step)
     // Take each group's batch from its shard and split it between
     // the CPU (FP32) and NPU (INT8) halves, serially and in group
     // order, so the cursors advance as in a serial loop.
-    ep.outs.assign(groups.size(), GroupStepOut{});
+    ep.outs.assign(roster.size(), GroupStepOut{});
     const double fCpu = ep.fCpu;
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    for (std::size_t gi = 0; gi < roster.size(); ++gi) {
         const std::size_t shardSize = ep.shards[gi].size();
         std::size_t &cursor = ep.cursor[gi];
         if (cursor >= shardSize)
@@ -249,9 +249,9 @@ SoCFlowTrainer::runGroupStep(EpochRun &ep, std::size_t step)
     // spans) happens in the serial fold below, in ascending group
     // order, so the timeline stays bit-exact at any thread count
     // (DESIGN.md ch. 9).
-    globalThreadPool().parallelFor(2 * groups.size(), [&](std::size_t it) {
+    globalThreadPool().parallelFor(2 * roster.size(), [&](std::size_t it) {
         GroupStepOut &o = ep.outs[it / 2];
-        GroupState &g = *groups[it / 2];
+        GroupState &g = roster.state(it / 2);
         const auto &shard = ep.shards[it / 2];
         const bool cpu = it % 2 == 0;
         const std::size_t lo = cpu ? o.begin : o.split;
@@ -273,23 +273,23 @@ SoCFlowTrainer::runGroupStep(EpochRun &ep, std::size_t step)
     // On-chip aggregation (Eq. 5), then intra-group sync (implicit:
     // the group replica is the synced state). Groups are independent
     // again here, one item each.
-    globalThreadPool().parallelFor(groups.size(), [&](std::size_t gi) {
+    globalThreadPool().parallelFor(roster.size(), [&](std::size_t gi) {
         GroupStepOut &o = ep.outs[gi];
         if (!o.ran)
             return;
-        GroupState &g = *groups[gi];
+        GroupState &g = roster.state(gi);
         if (o.split > o.begin && o.split < o.end)
             mergeReplicas(mpc, g.fp32, g.int8);
         else if (o.split == o.begin)
             g.fp32.copyParamsFrom(g.int8);
         else
             g.int8.copyParamsFrom(g.fp32);
-        o.gSec = groupComputeSeconds(g, fCpu);
+        o.gSec = groupComputeSeconds(roster.members(gi), fCpu);
     });
 
     // Serial fold, ascending group order (bit-exact vs serial).
     obs::Tracer &tr = obs::tracer();
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    for (std::size_t gi = 0; gi < roster.size(); ++gi) {
         const GroupStepOut &o = ep.outs[gi];
         if (!o.ran)
             continue;
@@ -351,7 +351,7 @@ SoCFlowTrainer::chargeStep(EpochRun &ep, EpochRecord &rec,
         profileStep(tl, obs::kAllSlots, ep.profT, f, ep.waves,
                     {obs::Phase::Wave1Sync, obs::Phase::Wave2Sync,
                      obs::Phase::Wave1Sync});
-        obs::profiler().noteSlotCount(groups.size());
+        obs::profiler().noteSlotCount(roster.size());
         ep.profT += stepWallS * f;
     }
 
@@ -383,15 +383,15 @@ SoCFlowTrainer::chargeStep(EpochRun &ep, EpochRecord &rec,
 
     // Per-group collective-latency sketches (the per-epoch leader
     // fan-in merges these into the *_cluster series).
-    if (groupDigests.size() != groups.size()) {
+    if (groupDigests.size() != roster.size()) {
         groupDigests.clear();
-        for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+        for (std::size_t gi = 0; gi < roster.size(); ++gi) {
             groupDigests.push_back(&obs::metrics().tdigest(
                 "collective_seconds_digest",
                 {{"group", std::to_string(gi)}}));
         }
     }
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    for (std::size_t gi = 0; gi < roster.size(); ++gi) {
         const std::size_t wave =
             gi < plan.commGroup.size() ? plan.commGroup[gi] : 0;
         groupDigests[gi]->observe(
@@ -400,7 +400,7 @@ SoCFlowTrainer::chargeStep(EpochRun &ep, EpochRecord &rec,
 
     // Energy: CPU/NPU busy shares plus comm power.
     const double batch = static_cast<double>(cfg.groupBatch) *
-                         static_cast<double>(groups.size());
+                         static_cast<double>(roster.size());
     ep.cpuSocS += ep.fCpu * batch * profile.cpuMsPerSample / 1000.0;
     ep.npuSocS += (1.0 - ep.fCpu) * batch * profile.cpuMsPerSample /
                   (profile.npuSpeedup * 1000.0);
@@ -418,17 +418,17 @@ SoCFlowTrainer::aggregateLeaders(EpochRun &ep, EpochRecord &rec)
     // consensus, never a silently corrupt one).
     TrainerMetrics &m = trainerMetrics();
     obs::Tracer &tr = obs::tracer();
-    if (groups.size() > 1) {
+    if (roster.size() > 1) {
         // Every leader-ring contribution is stamped with the group's
         // generation; stale stamps are fenced out before the average
         // forms (split-brain guard, membership/membership.hh). In
         // steady state every active group is current -- the fence
         // only fires on traffic replayed across a membership change.
         std::vector<std::vector<float>> weights;
-        weights.reserve(groups.size());
-        for (auto &g : groups) {
-            if (gate.admit(g->generation))
-                weights.push_back(g->fp32.flatParams());
+        weights.reserve(roster.size());
+        for (const auto &g : roster.active()) {
+            if (gate.admit(g.state->generation))
+                weights.push_back(g.state->fp32.flatParams());
             else
                 ++fencedTotal;
         }
@@ -439,7 +439,7 @@ SoCFlowTrainer::aggregateLeaders(EpochRun &ep, EpochRecord &rec)
         if (faults)
             corrupt = [this] { return faults->corruptNextChunk(); };
         const std::size_t chunkElems = std::max<std::size_t>(
-            1, groups.front()->fp32.flatParams().size() / groups.size());
+            1, roster.state(0).fp32.flatParams().size() / roster.size());
         const collectives::VerifiedReduceOutcome vr =
             collectives::verifiedAllReduceAverage(
                 ptrs, chunkElems, corrupt,
@@ -451,10 +451,10 @@ SoCFlowTrainer::aggregateLeaders(EpochRun &ep, EpochRecord &rec)
         if (vr.applied && !weights.empty()) {
             // Fenced groups could not contribute, but they still
             // receive the consensus and are re-stamped current.
-            for (auto &g : groups) {
-                g->fp32.setFlatParams(weights.front());
-                g->int8.setFlatParams(weights.front());
-                g->generation = gate.current();
+            for (const auto &g : roster.active()) {
+                g.state->fp32.setFlatParams(weights.front());
+                g.state->int8.setFlatParams(weights.front());
+                g.state->generation = gate.current();
             }
         } else {
             ++tally.syncFailures;
@@ -479,7 +479,7 @@ SoCFlowTrainer::aggregateLeaders(EpochRun &ep, EpochRecord &rec)
     if (ep.tracing) {
         tr.recordSpan("epoch sync", "comm", obs::kTrackComm, simClockS,
                       epochSync,
-                      {{"groups", static_cast<double>(groups.size())}});
+                      {{"groups", static_cast<double>(roster.size())}});
     }
     simClockS += epochSync;
 
@@ -549,9 +549,9 @@ SoCFlowTrainer::closeEpoch(EpochRun &ep, EpochRecord &rec)
                " paused: no partition side holds quorum; state "
                "preserved, awaiting heal");
     } else if (!rec.powerLost) {
-        for (auto &g : groups) {
-            g->sgd->decayLearningRate();
-            g->int8Trainer->optimizer().decayLearningRate();
+        for (const auto &g : roster.active()) {
+            g.state->sgd->decayLearningRate();
+            g.state->int8Trainer->optimizer().decayLearningRate();
         }
         ++epochCounter;
         timeline.mixAll(epochCounter, rec.simSeconds, gate.current());
@@ -564,7 +564,7 @@ SoCFlowTrainer::closeEpoch(EpochRun &ep, EpochRecord &rec)
         m.epochs.add(1.0);
         m.alpha.set(mpc.alpha());
         m.cpuFraction.set(ep.fCpu);
-        m.activeGroups.set(static_cast<double>(groups.size()));
+        m.activeGroups.set(static_cast<double>(roster.size()));
         if (ep.profiling)
             noteResourceUsage(cluster.network(), profEpochUse);
     }
