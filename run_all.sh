@@ -62,12 +62,14 @@
 #               run the replicated-checkpoint suites (test_ckpt,
 #               test_checkpoint, the harvest driver's test_trace and
 #               test_fault, the crash-restart determinism
-#               scenarios) plus the crash_restart example: a 2-rack
-#               fleet loses power mid-epoch AND the primary replica's
-#               rack loses durable storage; the run must restore from
-#               the surviving cross-rack copy and the resumed
-#               timeline hash must equal a resume from the original
-#               blob (the invariant DESIGN.md ch. 13 promises)
+#               scenarios, and test_membership's power-loss cases,
+#               whose reboot resets the membership roster and
+#               re-applies an open cut) plus the crash_restart
+#               example: a 2-rack fleet loses power mid-epoch AND the
+#               primary replica's rack loses durable storage; the run
+#               must restore from the surviving cross-rack copy and
+#               the resumed timeline hash must equal a resume from the
+#               original blob (the invariant DESIGN.md ch. 13 promises)
 #   --docs-check [flag_table]
 #               fail if the README.md flag table (between the
 #               bench-flags markers) differs from the output of the
@@ -212,8 +214,8 @@ fi
 if [ "$1" = "--crash-restart" ]; then
     cmake -B build -S . || exit 1
     cmake --build build -j $jobs --target test_ckpt test_checkpoint \
-        test_trace test_fault test_parallel_determinism crash_restart ||
-        exit 1
+        test_trace test_fault test_parallel_determinism test_membership \
+        crash_restart || exit 1
     # Unit layer: placement, envelope/manifest fuzz, quorum restore,
     # rack-survival of acked writes; and the harvest driver, whose
     # every checkpoint goes through the store (retries, lost writes,
@@ -225,6 +227,9 @@ if [ "$1" = "--crash-restart" ]; then
     # one from the same checkpoint.
     ./build/tests/test_parallel_determinism \
         --gtest_filter='*CrashRestart*:*Resumed*' || exit 1
+    # Membership layer: the reboot resets the roster and re-applies a
+    # cut still open at reboot through it.
+    ./build/tests/test_membership --gtest_filter='*PowerLoss*' || exit 1
     # End to end: power loss + rack storage loss + restore + resume.
     out=build/crash_restart.txt
     if ! ./build/examples/crash_restart > "$out"; then

@@ -35,8 +35,9 @@
  *    that side from the fault model, the one record of which SoCs
  *    are alive.
  *
- * DESIGN.md "Failure model" documents the partition/fencing/rejoin
- * state machine built on these pieces.
+ * roster.hh's Roster, the one record of who holds each SoC, makes the
+ * membership edits on top of them. DESIGN.md "Failure model"
+ * documents the partition/fencing/rejoin state machine.
  */
 
 #ifndef SOCFLOW_MEMBERSHIP_MEMBERSHIP_HH
